@@ -8,7 +8,6 @@ harness that compares the formulas against definition-level computation on the
 constructed product.
 """
 
-from ._kernels import ACTIVE_LANE, NUMBA_ENABLED
 from .boundary import (
     BoundaryProfile,
     boundary_profile,
@@ -73,8 +72,6 @@ from .verify import PROPERTIES, VerificationSummary, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_LANE",
-    "NUMBA_ENABLED",
     "AnalysisReport",
     "BoundaryProfile",
     "DEFAULT_VERTEX_BUDGET",

@@ -20,7 +20,6 @@ import pytest
 from strongbounds import (
     FactorPair,
     GeneratorConfig,
-    _kernels,
     boundary_profile,
     boundary_set,
     contour_set,
@@ -53,7 +52,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 def corpus():
     """200 deterministic factor pairs, products, and both set routes."""
     t0 = time.perf_counter()
-    _kernels.warmup()
     master = np.random.default_rng(ACCEPTANCE_SEED)
     entries = []
     for t in range(TRIALS):
@@ -96,7 +94,6 @@ def test_criterion_1_example_golden(d1_path, d2_path):
     clause cannot be satisfied by a correct implementation and this test fails
     by design.
     """
-    _kernels.warmup()
     t0 = time.perf_counter()
     doc1 = parse_edge_list(d1_path.read_text())
     doc2 = parse_edge_list(d2_path.read_text())
@@ -285,7 +282,6 @@ def test_criterion_8_formula_mode_scalability(tmp_path):
     f2.write_text(path_text("p2"))
     out = tmp_path / "report.json"
 
-    _kernels.warmup()
     t0 = time.perf_counter()
     # budget 1 proves no product-scale structure gets materialized: any
     # construction attempt would raise SizeOverflow (exit 4)

@@ -1,16 +1,19 @@
-"""Both kernel lanes agree with each other and with the plain oracles."""
+"""The all-sources BFS kernel and the boundary scan against independent oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import oracles
-from strongbounds import _kernels, from_arcs
-from strategies import digraphs, strong_digraphs
-
-numba_lane = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba lane disabled or unavailable"
+from strongbounds import (
+    GeneratorConfig,
+    _kernels,
+    directed_distances_from,
+    from_arcs,
+    generate_strong_digraph,
+    strong_product,
 )
+from strategies import digraphs, strong_digraphs
 
 
 def _expected_dist(d):
@@ -18,69 +21,104 @@ def _expected_dist(d):
     return [[-1 if x == oracles.INF else x for x in row] for row in fw]
 
 
+def _dist(d):
+    return _kernels.all_pairs_directed_dist(d.out_indptr, d.out_indices, d.n)
+
+
+def _outer_max(a, b):
+    """Distance table of the strong product of factors with tables a and b."""
+    n = a.shape[0] * b.shape[0]
+    return np.maximum(a[:, None, :, None], b[None, :, None, :]).reshape(n, n)
+
+
+def _bidirected_path(n):
+    return from_arcs(n, [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)])
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Kinds of BFS step the kernel takes, in order."""
+    taken = []
+    for kind in ("sparse", "dense"):
+        original = getattr(_kernels, f"_{kind}_step")
+
+        def record(*args, _kind=kind, _original=original):
+            taken.append(_kind)
+            return _original(*args)
+
+        monkeypatch.setattr(_kernels, f"_{kind}_step", record)
+    return taken
+
+
 class TestAllPairsLanes:
     @given(digraphs(max_n=7))
     def test_numpy_lane_matches_oracle(self, d):
-        got = _kernels.all_pairs_floyd_numpy(d.out_indptr, d.out_indices, d.n)
+        # non-strong inputs included: their unreachable cells must read -1
+        got = _dist(d)
+        assert got.dtype == np.int32
         assert got.tolist() == _expected_dist(d)
 
-    @numba_lane
-    @settings(deadline=None)
-    @given(digraphs(max_n=7))
-    def test_numba_lane_matches_oracle(self, d):
-        got = _kernels.all_pairs_bfs_numba(d.out_indptr, d.out_indices, d.n)
-        assert got.tolist() == _expected_dist(d)
 
-    @numba_lane
-    def test_lanes_agree_on_larger_instance(self):
-        from strongbounds import GeneratorConfig, generate_strong_digraph
+class TestAllPairsBFS:
+    # n > 1024 takes more than one block of sources
+    N = 1100
 
-        d = generate_strong_digraph(GeneratorConfig(n=120, p=0.05, seed=5)).digraph
-        a = _kernels.all_pairs_floyd_numpy(d.out_indptr, d.out_indices, d.n)
-        b = _kernels.all_pairs_bfs_numba(d.out_indptr, d.out_indices, d.n)
-        assert np.array_equal(a, b)
+    @given(digraphs(min_n=8, max_n=20))
+    def test_matches_oracle_with_step_choice(self, d):
+        # above the tiny sizes, which always step dense, each level weighs a
+        # sparse step against a dense one; arc-free sources leave a block
+        # with an empty first frontier
+        assert _dist(d).tolist() == _expected_dist(d)
+
+    def test_directed_cycle_closed_form(self, steps):
+        n = self.N
+        d = from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
+        v = np.arange(n)
+        assert np.array_equal(_dist(d), (v[None, :] - v[:, None]) % n)
+        assert set(steps) == {"sparse"}
+
+    def test_bidirected_path_closed_form(self, steps):
+        n = self.N
+        v = np.arange(n)
+        assert np.array_equal(_dist(_bidirected_path(n)), np.abs(v[None, :] - v[:, None]))
+        assert set(steps) == {"sparse"}
+
+    def test_ladder_sparse_steps_deduplicate(self, steps):
+        # path x K2: both cells of one rung reach both cells of the next, so
+        # every sparse step gathers each new cell twice
+        path = np.abs(np.arange(self.N // 2)[:, None] - np.arange(self.N // 2)[None, :])
+        ladder, _ = strong_product(_bidirected_path(self.N // 2), _bidirected_path(2))
+        assert np.array_equal(_dist(ladder), _outer_max(path, 1 - np.eye(2, dtype=int)))
+        assert set(steps) == {"sparse"}
+
+    def test_lollipop_switches_dense_to_sparse(self, steps):
+        # a complete core with a bidirected tail: the early levels from the
+        # core are dense, the walk down the tail is sparse
+        core, tail = 30, 150
+        n = core + tail
+        arcs = [(a, b) for a in range(core) for b in range(core) if a != b]
+        for v in range(core - 1, n - 1):
+            arcs += [(v, v + 1), (v + 1, v)]
+        d = from_arcs(n, arcs)
+        expected = np.stack([directed_distances_from(d, s) for s in range(n)])
+        assert np.array_equal(_dist(d), expected)
+        first_dense = steps.index("dense")
+        assert "sparse" in steps[first_dense:]
+
+    def test_dense_product_is_outer_max_of_factors(self, steps):
+        g1 = generate_strong_digraph(GeneratorConfig(n=20, p=0.3, seed=11)).digraph
+        g2 = generate_strong_digraph(GeneratorConfig(n=15, p=0.4, seed=12)).digraph
+        prod, _ = strong_product(g1, g2)
+        assert np.array_equal(_dist(prod), _outer_max(_dist(g1), _dist(g2)))
+        assert "dense" in steps
 
 
 class TestBoundaryLanes:
     @settings(deadline=None)
     @given(strong_digraphs(max_n=7))
     def test_lanes_agree(self, d):
-        dist = _kernels.all_pairs_floyd_numpy(d.out_indptr, d.out_indices, d.n)
+        dist = _dist(d)
         md = np.maximum(dist, dist.T)
-        a = _kernels.boundary_mask_numpy(md, d.und_indptr, d.und_indices)
-        if _kernels.NUMBA_ENABLED:
-            b = _kernels.boundary_mask_numba(md, d.und_indptr, d.und_indices)
-            assert np.array_equal(a, b)
+        mask = _kernels.boundary_mask(md, d.und_indptr, d.und_indices)
         expected = oracles.boundary(d.n, d.arcs, md.tolist())
-        assert set(np.flatnonzero(a).tolist()) == expected
-
-
-class TestDispatch:
-    def test_active_lane_consistent(self):
-        assert _kernels.ACTIVE_LANE == ("numba" if _kernels.NUMBA_ENABLED else "numpy")
-
-    def test_warmup_runs(self):
-        _kernels.warmup()
-
-    def test_dispatcher_matches_active_lane(self):
-        d = from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        got = _kernels.all_pairs_directed_dist(d.out_indptr, d.out_indices, d.n)
-        assert got.tolist() == _expected_dist(d)
-
-    def test_numpy_lane_forced_subprocess(self):
-        # the env flag must actually flip the lane in a fresh interpreter
-        import subprocess
-        import sys
-
-        code = (
-            "import strongbounds; import strongbounds._kernels as k; "
-            "print(k.ACTIVE_LANE)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"STRONGBOUNDS_NO_NUMBA": "1", "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+        assert set(np.flatnonzero(mask).tolist()) == expected

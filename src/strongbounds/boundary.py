@@ -38,14 +38,8 @@ def _neighbor_csr(d: Digraph, neighborhood: str) -> tuple[np.ndarray, np.ndarray
     """CSR neighbor rows, with v prepended to its own row for the closed form."""
     if neighborhood == "open":
         return d.und_indptr, d.und_indices
-    counts = np.diff(d.und_indptr) + 1
-    indptr = np.zeros(d.n + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    for v in range(d.n):
-        indices[indptr[v]] = v
-        indices[indptr[v] + 1:indptr[v + 1]] = d.und_indices[d.und_indptr[v]:d.und_indptr[v + 1]]
-    return indptr, indices
+    indptr = (d.und_indptr + np.arange(d.n + 1)).astype(np.int32)
+    return indptr, np.insert(d.und_indices, d.und_indptr[:-1], np.arange(d.n))
 
 
 def _segment_max(gathered: np.ndarray, indptr: np.ndarray, empty: int) -> np.ndarray:

@@ -45,7 +45,13 @@ EXIT_BUDGET = 4
 
 
 def _read_document(path: str) -> EdgeListDocument:
-    return parse_edge_list(Path(path).read_text(encoding="ascii"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+    return parse_edge_list(text)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -36,12 +36,6 @@ class GeneratedDigraph:
     augmented: bool
 
 
-def _sample_arcs(rng: np.random.Generator, n: int, p: float) -> set[tuple[int, int]]:
-    draw = rng.random((n, n)) < p
-    np.fill_diagonal(draw, False)
-    return {(int(a), int(b)) for a, b in np.argwhere(draw)}
-
-
 def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
     """Sample each ordered non-loop pair with probability p until strong.
 
@@ -51,13 +45,14 @@ def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    arcs: set[tuple[int, int]] = set()
-    attempts = 0
     for attempts in range(1, cfg.max_retries + 2):
-        arcs = _sample_arcs(rng, cfg.n, cfg.p)
-        d = from_arcs(cfg.n, sorted(arcs))
+        draw = rng.random((cfg.n, cfg.n)) < cfg.p
+        np.fill_diagonal(draw, False)
+        d = from_arcs(cfg.n, np.argwhere(draw))
         if is_strong(d):
             return GeneratedDigraph(digraph=d, config=cfg, attempts=attempts, augmented=False)
-    cycle = {(v, (v + 1) % cfg.n) for v in range(cfg.n)} if cfg.n > 1 else set()
-    d = from_arcs(cfg.n, sorted(arcs | cycle))
+    if cfg.n > 1:
+        v = np.arange(cfg.n)
+        draw[v, (v + 1) % cfg.n] = True
+    d = from_arcs(cfg.n, np.argwhere(draw))
     return GeneratedDigraph(digraph=d, config=cfg, attempts=attempts, augmented=True)

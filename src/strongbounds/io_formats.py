@@ -8,7 +8,8 @@ Edge-list format (ASCII, LF, trailing newline optional):
     0 2
     1 0
 
-The header line ``n <count>`` must precede arcs and names. Arc lines are
+Every number is a run of ASCII digits ``[0-9]+``. The header line
+``n <count>`` must precede arcs and names. Arc lines are
 ``<tail> <head>``; optional ``name <id> <label>`` lines attach display labels
 used only in reports and exports. Serialization sorts everything, so parse and
 serialize round-trip byte-identically.
@@ -34,6 +35,13 @@ class EdgeListDocument:
         return self.labels.get(v, str(v))
 
 
+def _int(token: str) -> int:
+    """int() of a token of ASCII digits [0-9]+; ValueError for signs, '_' and other digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not [0-9]+: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> EdgeListDocument:
     """Parse an edge-list document; errors carry the offending line number."""
     n: int | None = None
@@ -50,7 +58,7 @@ def parse_edge_list(text: str) -> EdgeListDocument:
             if parts[0] != "n" or len(parts) != 2:
                 raise ParseError(lineno, f"expected header 'n <count>', got {raw.strip()!r}")
             try:
-                n = int(parts[1])
+                n = _int(parts[1])
             except ValueError:
                 raise ParseError(lineno, f"vertex count is not an integer: {parts[1]!r}") from None
             if n < 1:
@@ -60,7 +68,7 @@ def parse_edge_list(text: str) -> EdgeListDocument:
             if len(parts) != 3:
                 raise ParseError(lineno, f"expected 'name <id> <label>', got {raw.strip()!r}")
             try:
-                v = int(parts[1])
+                v = _int(parts[1])
             except ValueError:
                 raise ParseError(lineno, f"name id is not an integer: {parts[1]!r}") from None
             if not 0 <= v < n:
@@ -70,7 +78,7 @@ def parse_edge_list(text: str) -> EdgeListDocument:
         if len(parts) != 2:
             raise ParseError(lineno, f"expected '<tail> <head>', got {raw.strip()!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise ParseError(lineno, f"arc endpoints are not integers: {raw.strip()!r}") from None
         if not (0 <= a < n and 0 <= b < n):

@@ -101,7 +101,9 @@ def strong_product(
     """Materialize the product digraph under encode.
 
     ((i,r),(j,s)) is an arc iff (i,j) is an arc with r=s, or i=j with (r,s) an
-    arc, or both coordinates step along arcs simultaneously. Strongness is not
+    arc, or both coordinates step along arcs simultaneously: the adjacency is
+    (A1+I) ⊗ (A2+I) - I, every closed arc (arc or self-pair) of D1 combined
+    with every closed arc of D2, less the n1·n2 loops. Strongness is not
     required for construction.
     """
     n = product_vertex_count(d1, d2)
@@ -109,19 +111,17 @@ def strong_product(
         raise SizeOverflow(
             f"product on {d1.n}*{d2.n}={n} vertices exceeds the budget of {budget}"
         )
-    n2 = d2.n
-    arcs: list[tuple[int, int]] = []
-    for (i, j) in d1.arcs:
-        base_i, base_j = i * n2, j * n2
-        for r in range(n2):
-            arcs.append((base_i + r, base_j + r))
-        for (r, s) in d2.arcs:
-            arcs.append((base_i + r, base_j + s))
-    for (r, s) in d2.arcs:
-        for i in range(d1.n):
-            base = i * n2
-            arcs.append((base + r, base + s))
-    return from_arcs(n, arcs), ProductLabel(d1.n, d2.n)
+    rows = _closed_arcs(d1) * d2.n
+    cols = _closed_arcs(d2)
+    pairs = (rows[:, None, :] + cols[None, :, :]).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return from_arcs(n, pairs), ProductLabel(d1.n, d2.n)
+
+
+def _closed_arcs(d: Digraph) -> np.ndarray:
+    """(tail, head) rows of the arcs of d followed by its n self-pairs."""
+    loops = np.repeat(np.arange(d.n), 2).reshape(-1, 2)
+    return np.concatenate((d._arc_array(), loops))
 
 
 def product_distance(f: FactorPair, a: tuple[int, int], b: tuple[int, int]) -> int:

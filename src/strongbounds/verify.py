@@ -75,13 +75,12 @@ class VerificationSummary:
         return out
 
 
-def _check_metric_axioms(d: Digraph) -> str | None:
-    md = metric_profile(d).md
+def _check_metric_axioms(md: np.ndarray) -> str | None:
     if not np.array_equal(md, md.T):
         return "md not symmetric"
     if (np.diag(md) != 0).any():
         return "md diagonal not zero"
-    if d.n > 1 and (md[~np.eye(d.n, dtype=bool)] < 1).any():
+    if len(md) > 1 and (md[~np.eye(len(md), dtype=bool)] < 1).any():
         return "md zero off the diagonal"
     # triangle inequality over all ordered triples
     if (md[:, None, :] > md[:, :, None] + md[None, :, :]).any():
@@ -89,72 +88,72 @@ def _check_metric_axioms(d: Digraph) -> str | None:
     return None
 
 
-def _check_trial(d1: Digraph, d2: Digraph, prop: str) -> str | None:
-    """None when the property holds for this factor pair, else a description."""
-    if prop == "metric-axioms":
-        for tag, d in (("D1", d1), ("D2", d2)):
-            msg = _check_metric_axioms(d)
-            if msg:
-                return f"{tag}: {msg}"
-        return None
+def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, str | None]:
+    """Per property: None when it holds for this factor pair, else a description.
 
+    The product and every profile and set are built once, for all properties.
+    """
     pair = FactorPair.from_digraphs(d1, d2)
-    prod, _ = strong_product(d1, d2)
-    prod_profile = metric_profile(prod)
+    if any(prop != "metric-axioms" for prop in props):
+        prod, _ = strong_product(d1, d2)
+        prod_profile = metric_profile(prod)
+        direct = boundary_profile(prod_profile, prod)
 
-    if prop == "product-metric-identities":
-        from_factors = product_metric_profile(pair)
-        if not np.array_equal(from_factors.md, prod_profile.md):
-            return "product md table differs from max of factor mds"
-        if not np.array_equal(from_factors.ecc, prod_profile.ecc):
-            return "product eccentricities differ from max of factor eccs"
-        if from_factors.radius != prod_profile.radius:
-            return "product radius differs from max of factor radii"
-        if from_factors.diameter != prod_profile.diameter:
-            return "product diameter differs from max of factor diameters"
-        if not is_strong(prod):
-            return "product of strong factors not strong"
-        return None
+    def check(prop: str) -> str | None:
+        if prop == "metric-axioms":
+            for tag, p in (("D1", pair.p1), ("D2", pair.p2)):
+                msg = _check_metric_axioms(p.md)
+                if msg:
+                    return f"{tag}: {msg}"
+            return None
 
-    direct = boundary_profile(prod_profile, prod)
-    if prop == "boundary-formula-vs-direct":
-        formula = product_boundary_via_factors(pair)
-        if formula != direct.boundary:
-            return f"symmetric difference {sorted(formula ^ direct.boundary)}"
-        return None
-    if prop == "periphery-formula-vs-direct":
-        formula = product_periphery_via_factors(pair)
-        if formula != direct.periphery:
-            return f"symmetric difference {sorted(formula ^ direct.periphery)}"
-        return None
-    if prop == "eccentric-formula-vs-direct":
-        formula = product_eccentric_via_factors(pair)
-        if formula != direct.eccentricity_set:
-            return f"symmetric difference {sorted(formula ^ direct.eccentricity_set)}"
-        return None
-    if prop == "contour-formula-vs-direct":
-        formula = product_contour_via_factors(pair)
-        if formula != direct.contour:
-            return f"symmetric difference {sorted(formula ^ direct.contour)}"
-        return None
+        if prop == "product-metric-identities":
+            from_factors = product_metric_profile(pair)
+            if not np.array_equal(from_factors.md, prod_profile.md):
+                return "product md table differs from max of factor mds"
+            if not np.array_equal(from_factors.ecc, prod_profile.ecc):
+                return "product eccentricities differ from max of factor eccs"
+            if from_factors.radius != prod_profile.radius:
+                return "product radius differs from max of factor radii"
+            if from_factors.diameter != prod_profile.diameter:
+                return "product diameter differs from max of factor diameters"
+            if not is_strong(prod):
+                return "product of strong factors not strong"
+            return None
 
-    if prop == "inclusion-chains":
-        for tag, bp in (("D1", pair.b1), ("D2", pair.b2), ("product", direct)):
-            if not bp.periphery <= (bp.contour & bp.eccentricity_set):
-                return f"{tag}: periphery not within contour ∩ eccentricity set"
-            if not (bp.eccentricity_set | bp.contour) <= bp.boundary:
-                return f"{tag}: eccentricity set ∪ contour not within boundary"
-        return None
+        formulas = {
+            "boundary-formula-vs-direct": (product_boundary_via_factors, direct.boundary),
+            "periphery-formula-vs-direct": (product_periphery_via_factors, direct.periphery),
+            "eccentric-formula-vs-direct": (product_eccentric_via_factors, direct.eccentricity_set),
+            "contour-formula-vs-direct": (product_contour_via_factors, direct.contour),
+        }
+        if prop in formulas:
+            formula_of, expected = formulas[prop]
+            formula = formula_of(pair)
+            if formula != expected:
+                return f"symmetric difference {sorted(formula ^ expected)}"
+            return None
 
-    if prop == "open-closed-equivalence":
-        for tag, d, p in (("D1", d1, pair.p1), ("D2", d2, pair.p2), ("product", prod, prod_profile)):
-            if boundary_set(p, d, "open") != boundary_set(p, d, "closed"):
-                return f"{tag}: boundary differs between open and closed neighborhoods"
-            if contour_set(p, d, "open") != contour_set(p, d, "closed"):
-                return f"{tag}: contour differs between open and closed neighborhoods"
-        return None
+        if prop == "inclusion-chains":
+            for tag, bp in (("D1", pair.b1), ("D2", pair.b2), ("product", direct)):
+                if not bp.periphery <= (bp.contour & bp.eccentricity_set):
+                    return f"{tag}: periphery not within contour ∩ eccentricity set"
+                if not (bp.eccentricity_set | bp.contour) <= bp.boundary:
+                    return f"{tag}: eccentricity set ∪ contour not within boundary"
+            return None
 
-    raise ValueError(f"unknown property {prop!r}")
+        if prop == "open-closed-equivalence":
+            factors = (("D1", d1, pair.p1), ("D2", d2, pair.p2))
+            for tag, d, p in factors + (("product", prod, prod_profile),):
+                if boundary_set(p, d, "open") != boundary_set(p, d, "closed"):
+                    return f"{tag}: boundary differs between open and closed neighborhoods"
+                if contour_set(p, d, "open") != contour_set(p, d, "closed"):
+                    return f"{tag}: contour differs between open and closed neighborhoods"
+            return None
+
+        raise ValueError(f"unknown property {prop!r}")
+
+    return {prop: check(prop) for prop in props}
 
 
 def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
@@ -168,7 +167,7 @@ def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
                 if not is_strong(trimmed):
                     continue
                 cand = (trimmed, db) if first else (db, trimmed)
-                if _check_trial(cand[0], cand[1], prop) is not None:
+                if _check_trial(cand[0], cand[1], (prop,))[prop] is not None:
                     da = trimmed
                     changed = True
         return (da, db) if first else (db, da)
@@ -206,15 +205,14 @@ def run_verification(
         s2 = int(master.integers(0, 2**63 - 1))
         d1 = generate_strong_digraph(GeneratorConfig(n=n1, p=p, seed=s1)).digraph
         d2 = generate_strong_digraph(GeneratorConfig(n=n2, p=p, seed=s2)).digraph
-        for prop in properties:
-            msg = _check_trial(d1, d2, prop)
+        for prop, msg in _check_trial(d1, d2, properties).items():
             if msg is None:
                 summary.passed[prop] = summary.passed.get(prop, 0) + 1
                 continue
             summary.failed[prop] = summary.failed.get(prop, 0) + 1
             if len(summary.violations) < max_violations:
                 m1, m2 = _minimize(d1, d2, prop) if minimize else (d1, d2)
-                final_msg = _check_trial(m1, m2, prop) or msg
+                final_msg = _check_trial(m1, m2, (prop,))[prop] or msg
                 summary.violations.append(
                     PropertyViolation(
                         prop=prop,

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strongbounds
 from strongbounds.cli import main
 
 
@@ -58,6 +63,45 @@ class TestAnalyze:
         assert run(capsys, "analyze", str(d2_path), "--out", str(out1))[0] == 0
         assert run(capsys, "analyze", str(d2_path), "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestStrictInput:
+    """Malformed numbers and bytes end in a diagnostic with exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"n 1_0\n",  # int() would read 10
+            b"n +2\n0 1\n1 0\n",
+            b"n 20\n0 1_0\n",
+            b"n 2\n-0 1\n1 0\n",
+            b"n 2\nname +0 a\n",
+            b"n 2\n0 1\xff\n1 0\n",
+            "n \uff12\n".encode(),  # full-width digit two
+        ],
+        ids=["header-underscore", "header-plus", "arc-underscore", "arc-minus",
+             "name-plus", "non-ascii-byte", "non-ascii-digit"],
+    )
+    def test_rejected_exit_2(self, tmp_path, content):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(content)
+        src = str(Path(strongbounds.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "strongbounds.cli", "analyze", str(f)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+
+    def test_non_ascii_byte_names_line(self, capsys, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"n 2\n0 1\n1 0 \xc3\xa9\n")
+        code, _, err = run(capsys, "analyze", str(f))
+        assert code == 2
+        assert err == "error: line 3: non-ASCII byte 0xc3\n"
 
 
 class TestProduct:

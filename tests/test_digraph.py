@@ -1,5 +1,6 @@
 """Digraph construction, neighborhoods, and strong connectivity."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -42,6 +43,88 @@ class TestFromArcs:
         b = from_arcs(3, [(2, 0), (0, 1), (1, 2)])
         assert a == b
         assert hash(a) == hash(b)
+
+    # Mixed faults: the first bad arc in input order is reported, and for one
+    # arc a range fault outranks a loop, which outranks a repeat.
+    @pytest.mark.parametrize(
+        "n, arcs, error, message",
+        [
+            (3, [(0, 1), (2, 2), (0, 1), (0, 5)], LoopArc, "loop arc (2,2) not allowed"),
+            (3, [(0, 1), (1, 0), (0, 1), (1, 1), (0, 9)], ParallelArc, "duplicate arc (0,1)"),
+            (3, [(2, 0), (0, 1), (2, 0), (2, 2)], ParallelArc, "duplicate arc (2,0)"),
+            (3, [(1, 2), (3, 3), (0, 0)], VertexOutOfRange,
+             "arc (3,3) has an endpoint outside 0..2"),
+            (3, [(0, 1), (-1, 0), (0, 1)], VertexOutOfRange,
+             "arc (-1,0) has an endpoint outside 0..2"),
+            # (0,3) and (1,0) share the code tail*n + head = 3; no repeat is claimed
+            (3, [(1, 0), (0, 3)], VertexOutOfRange, "arc (0,3) has an endpoint outside 0..2"),
+            (3, [(0, 3), (1, 0)], VertexOutOfRange, "arc (0,3) has an endpoint outside 0..2"),
+            (2, [(1, 1), (1, 1)], LoopArc, "loop arc (1,1) not allowed"),
+            # endpoints beyond int64
+            (3, [(0, 1), (0, 2**70)], VertexOutOfRange,
+             f"arc (0,{2**70}) has an endpoint outside 0..2"),
+            (3, [(0, 1), (1, 1), (-2**70, 0)], LoopArc, "loop arc (1,1) not allowed"),
+        ],
+    )
+    def test_first_fault_in_input_order(self, n, arcs, error, message):
+        with pytest.raises(error) as exc:
+            from_arcs(n, arcs)
+        assert str(exc.value) == message
+
+    def test_pairs_required(self):
+        with pytest.raises(ValueError):
+            from_arcs(3, [(0, 1, 2)])
+
+    def test_list_generator_and_array_agree(self):
+        arcs = [(2, 0), (0, 1), (1, 2), (1, 0)]
+        from_list = from_arcs(3, arcs)
+        from_generator = from_arcs(3, (arc for arc in arcs))
+        from_array = from_arcs(3, np.array(arcs))
+        assert from_list == from_generator == from_array
+        for name in CSR_ARRAYS:
+            assert np.array_equal(getattr(from_list, name), getattr(from_array, name))
+            assert np.array_equal(getattr(from_list, name), getattr(from_generator, name))
+
+
+CSR_ARRAYS = ("out_indptr", "out_indices", "in_indptr", "in_indices", "und_indptr", "und_indices")
+
+
+def _dense(n, indptr, indices):
+    m = np.zeros((n, n), dtype=bool)
+    for v in range(n):
+        row = indices[indptr[v]:indptr[v + 1]]
+        assert (np.diff(row) > 0).all()  # columns strictly increasing
+        m[v, row] = True
+    return m
+
+
+class TestCSRStore:
+    @given(digraphs())
+    def test_in_and_und_derive_from_out(self, d):
+        out = _dense(d.n, d.out_indptr, d.out_indices)
+        assert np.array_equal(_dense(d.n, d.in_indptr, d.in_indices), out.T)
+        assert np.array_equal(_dense(d.n, d.und_indptr, d.und_indices), out | out.T)
+        assert set(zip(*np.nonzero(out))) == d.arcs
+        assert d.arc_count == len(d.arcs)
+
+    @given(digraphs())
+    def test_arcs_round_trip(self, d):
+        again = from_arcs(d.n, d.arcs)
+        assert again == d
+        for name in CSR_ARRAYS:
+            assert np.array_equal(getattr(again, name), getattr(d, name))
+
+    @given(digraphs(max_n=3), digraphs(max_n=3))
+    def test_equality_is_arc_set_equality(self, a, b):
+        assert (a == b) == ((a.n, a.arcs) == (b.n, b.arcs))
+        if a == b:
+            assert hash(a) == hash(b)
+        shuffled = from_arcs(a.n, sorted(a.arcs, reverse=True))
+        assert shuffled == a and hash(shuffled) == hash(a)
+
+    @given(digraphs())
+    def test_is_bidirected_matches_arc_set(self, d):
+        assert d.is_bidirected() == all((b, a) in d.arcs for a, b in d.arcs)
 
 
 class TestNeighborhoods:

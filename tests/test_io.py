@@ -62,6 +62,13 @@ class TestParse:
             parse_edge_list("n 2\n0 one\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text", ["n 1_0\n", "n +2\n", "n \uff12\n", "n 2\n0 -0\n", "n 2\nname 0_1 a\n"]
+    )
+    def test_numbers_are_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_edge_list(text)
+
     def test_bad_name_line(self):
         with pytest.raises(ParseError):
             parse_edge_list("n 2\nname 0\n")

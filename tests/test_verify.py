@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from strongbounds import InvalidConfig, from_arcs, parse_edge_list
+from strongbounds import InvalidConfig, from_arcs, parse_edge_list, strong_product
 from strongbounds.verify import PROPERTIES, _check_trial, run_verification
 from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2
 
@@ -45,7 +45,7 @@ class TestOutcomes:
         v = next(x for x in summary.violations if x.prop == "boundary-formula-vs-direct")
         a = parse_edge_list(v.d1_edge_list).digraph
         b = parse_edge_list(v.d2_edge_list).digraph
-        assert _check_trial(a, b, "boundary-formula-vs-direct") is not None
+        assert _check_trial(a, b, (v.prop,))[v.prop] is not None
 
     def test_minimized_dump_is_locally_minimal(self):
         from strongbounds import is_strong
@@ -56,7 +56,21 @@ class TestOutcomes:
         b = parse_edge_list(v.d2_edge_list).digraph
         for arc in sorted(a.arcs):
             trimmed = from_arcs(a.n, sorted(a.arcs - {arc}))
-            assert not is_strong(trimmed) or _check_trial(trimmed, b, v.prop) is None
+            assert not is_strong(trimmed) or _check_trial(trimmed, b, (v.prop,))[v.prop] is None
+
+    def test_one_product_build_per_trial(self, monkeypatch):
+        import strongbounds.verify as verify_mod
+
+        calls = []
+
+        def counting_product(d1, d2, *args):
+            calls.append((d1, d2))
+            return strong_product(d1, d2, *args)
+
+        monkeypatch.setattr(verify_mod, "strong_product", counting_product)
+        summary = run_verification(trials=12, seed=3)  # clean corpus: no minimizer calls
+        assert summary.ok
+        assert len(calls) == 12
 
     def test_summary_lines_shape(self):
         summary = run_verification(trials=3, seed=3)
@@ -86,7 +100,8 @@ class TestCheckTrialAgainstOracles:
     def test_known_boundary_divergence_detected(self):
         a = from_arcs(*CE_BOUNDARY_D1)
         b = from_arcs(*CE_BOUNDARY_D2)
-        msg = _check_trial(a, b, "boundary-formula-vs-direct")
+        prop = "boundary-formula-vs-direct"
+        msg = _check_trial(a, b, (prop,))[prop]
         assert msg is not None and "[12]" in msg
 
     def test_oracle_concurs_on_divergence(self):

@@ -39,7 +39,6 @@ from .io_formats import (
 )
 from .metric import (
     UNREACHABLE,
-    DistanceMatrix,
     MetricProfile,
     all_pairs_directed,
     directed_distances_from,
@@ -78,7 +77,6 @@ __all__ = [
     "BoundaryProfile",
     "DEFAULT_VERTEX_BUDGET",
     "Digraph",
-    "DistanceMatrix",
     "EdgeListDocument",
     "FactorPair",
     "GeneratedDigraph",

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: all-pairs directed hop counts and the boundary scan.
+"""Hot numeric kernel: all-pairs directed hop counts.
 
 `all_pairs_directed_dist` is one breadth-first search (BFS) from every source
 at once, in numpy only. Sources run in blocks of S rows of the distance table,
@@ -113,24 +113,3 @@ def all_pairs_directed_dist(indptr: np.ndarray, indices: np.ndarray, n: int) -> 
             todo -= found
     return dist
 
-
-# ----------------------------------------------------------------------------
-# boundary-vertex membership scan
-#
-# v is a boundary vertex iff some witness u has md(u, w) <= md(u, v) for every
-# w in the neighbor list of v (CSR rows supplied by the caller; open or closed
-# neighborhoods are the caller's choice). Empty neighbor rows are vacuously
-# boundary. md is symmetric, so the scan reads rows, which are contiguous.
-# ----------------------------------------------------------------------------
-
-def boundary_mask(md: np.ndarray, nbr_indptr: np.ndarray, nbr_indices: np.ndarray) -> np.ndarray:
-    n = md.shape[0]
-    out = np.zeros(n, dtype=bool)
-    for v in range(n):
-        nbrs = nbr_indices[nbr_indptr[v]:nbr_indptr[v + 1]]
-        if nbrs.size == 0:
-            out[v] = True
-            continue
-        worst = md[nbrs].max(axis=0)
-        out[v] = bool((worst <= md[v]).any())
-    return out

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .digraph import Digraph
 from .metric import MetricProfile
 
@@ -42,18 +41,33 @@ def _neighbor_csr(d: Digraph, neighborhood: str) -> tuple[np.ndarray, np.ndarray
     return indptr, np.insert(d.und_indices, d.und_indptr[:-1], np.arange(d.n))
 
 
-def _segment_max(gathered: np.ndarray, indptr: np.ndarray, empty: int) -> np.ndarray:
-    """Max over each CSR row's slice of the last axis of gathered; empty for an empty row.
+def _segment_max(gathered: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Max over each CSR row's slice of gathered; -1 for an empty row.
 
-    gathered holds one entry per CSR column entry on its last axis (a value
-    looked up at each neighbor), so the result has one entry per vertex there.
+    gathered holds one value per CSR column entry (a value looked up at each
+    neighbor), so the result has one entry per vertex.
     """
     counts = np.diff(indptr)
-    out = np.full(gathered.shape[:-1] + counts.shape, empty, dtype=np.int64)
+    out = np.full(counts.shape, -1, dtype=np.int64)
     nonempty = counts > 0
     if nonempty.any():
-        out[..., nonempty] = np.maximum.reduceat(gathered, indptr[:-1][nonempty], axis=-1)
+        out[nonempty] = np.maximum.reduceat(gathered, indptr[:-1][nonempty])
     return out
+
+
+def _worst_columns(md: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
+    """Yield (v, W[:, v]) for every v, where W[u, v] = max md(u, w) over w in N(v).
+
+    md is symmetric, so column v of W is the max of the md rows of v's
+    neighbors, which are contiguous; all -1 for an empty neighbor row. This is
+    the one worst-neighbour reduction: the boundary scan and the exact product
+    routes both read it, and W is never stored whole.
+    """
+    empty = np.full(md.shape[0], -1, dtype=md.dtype)
+    bounds = indptr.tolist()
+    for v in range(md.shape[0]):
+        lo, hi = bounds[v], bounds[v + 1]
+        yield v, md[indices[lo:hi]].max(axis=0) if lo < hi else empty
 
 
 def is_boundary_vertex_of(p: MetricProfile, d: Digraph, v: int, u: int) -> bool:
@@ -74,8 +88,9 @@ def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> fr
     """
     _check_neighborhood(neighborhood)
     indptr, indices = _neighbor_csr(d, neighborhood)
-    mask = _kernels.boundary_mask(p.md, indptr, indices)
-    return frozenset(np.flatnonzero(mask).tolist())
+    md = p.md
+    columns = _worst_columns(md, indptr, indices)
+    return frozenset(v for v, worst in columns if (worst <= md[v]).any())
 
 
 def eccentric_set(p: MetricProfile) -> frozenset[int]:
@@ -93,7 +108,7 @@ def contour_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> fro
     """Vertices whose eccentricity no neighbor exceeds."""
     _check_neighborhood(neighborhood)
     indptr, indices = _neighbor_csr(d, neighborhood)
-    worst = _segment_max(p.ecc[indices], indptr, -1)
+    worst = _segment_max(p.ecc[indices], indptr)
     return frozenset(np.flatnonzero(worst <= p.ecc).tolist())
 
 

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .boundary import boundary_profile
-from .digraph import find_unreachable_pair, is_strong
+from .digraph import find_unreachable_pair
 from .errors import (
     InvalidConfig,
     LoopArc,
@@ -62,10 +62,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _require_strong(doc: EdgeListDocument, path: str) -> None:
-    if not is_strong(doc.digraph):
-        pair = find_unreachable_pair(doc.digraph)
-        detail = f"no directed path {pair[0]} -> {pair[1]}" if pair else ""
-        raise NotStrong(f"{path}: digraph is not strongly connected: {detail}", pair=pair)
+    pair = find_unreachable_pair(doc.digraph)
+    if pair is not None:
+        raise NotStrong(
+            f"{path}: digraph is not strongly connected: no directed path {pair[0]} -> {pair[1]}",
+            pair=pair,
+        )
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

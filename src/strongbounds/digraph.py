@@ -27,6 +27,26 @@ def _keys_to_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, n: int, source: int) -> np.ndarray:
+    """Hop counts from source along CSR rows, by BFS; -1 where unreachable.
+
+    The walk runs over Python lists: indexing numpy arrays one scalar at a
+    time costs several times more than converting the arrays once.
+    """
+    ptr, idx = indptr.tolist(), indices.tolist()
+    levels = [-1] * n
+    levels[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        level = levels[u] + 1
+        for w in idx[ptr[u]:ptr[u + 1]]:
+            if levels[w] < 0:
+                levels[w] = level
+                queue.append(w)
+    return np.array(levels, dtype=np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class Digraph:
     """Immutable digraph: vertex count plus CSR adjacency.
@@ -102,16 +122,7 @@ class Digraph:
         self._check_vertex(source)
         indptr = self.in_indptr if reverse else self.out_indptr
         indices = self.in_indices if reverse else self.out_indices
-        seen = np.zeros(self.n, dtype=bool)
-        seen[source] = True
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in indices[indptr[u]:indptr[u + 1]]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(int(w))
-        return seen
+        return _bfs_levels(indptr, indices, self.n, source) >= 0
 
 
 def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
@@ -159,16 +170,16 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
 
 
 def is_strong(d: Digraph) -> bool:
-    """Every ordered vertex pair joined by a directed path.
+    """Every ordered vertex pair joined by a directed path."""
+    return find_unreachable_pair(d) is None
+
+
+def find_unreachable_pair(d: Digraph) -> tuple[int, int] | None:
+    """Some ordered pair (u, v) with no directed u->v path, if one exists.
 
     Dual BFS from vertex 0: forward reachability covers 0->x for all x,
     reverse reachability covers x->0; together they cover every ordered pair.
     """
-    return bool(d.reachable_from(0).all() and d.reachable_from(0, reverse=True).all())
-
-
-def find_unreachable_pair(d: Digraph) -> tuple[int, int] | None:
-    """Some ordered pair (u, v) with no directed u->v path, if one exists."""
     fwd = d.reachable_from(0)
     if not fwd.all():
         return (0, int(np.flatnonzero(~fwd)[0]))

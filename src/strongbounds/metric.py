@@ -7,27 +7,15 @@ check: everything at the max-distance level requires a strong digraph first.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .digraph import Digraph, find_unreachable_pair
+from .digraph import Digraph, _bfs_levels, find_unreachable_pair
 from .errors import NotStrong, VertexOutOfRange
 
 UNREACHABLE = -1
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs directed hop counts; d[u, v] = shortest directed u->v path."""
-
-    n: int
-    d: np.ndarray
-
-    def __post_init__(self):
-        self.d.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -55,21 +43,14 @@ class MetricProfile:
 def directed_distances_from(d: Digraph, source: int) -> np.ndarray:
     """Hop counts from source to every vertex; UNREACHABLE where no path."""
     d._check_vertex(source)
-    dist = np.full(d.n, UNREACHABLE, dtype=np.int32)
-    dist[source] = 0
-    queue = deque([source])
-    indptr, indices = d.out_indptr, d.out_indices
-    while queue:
-        u = queue.popleft()
-        for w in indices[indptr[u]:indptr[u + 1]]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
-                queue.append(int(w))
-    return dist
+    return _bfs_levels(d.out_indptr, d.out_indices, d.n, source)
 
 
-def all_pairs_directed(d: Digraph) -> DistanceMatrix:
-    """Complete finite distance table; NotStrong if any pair is unreachable."""
+def all_pairs_directed(d: Digraph) -> np.ndarray:
+    """Read-only int32 table of directed hop counts, t[u, v] = shortest u->v path.
+
+    NotStrong if any pair is unreachable.
+    """
     table = _kernels.all_pairs_directed_dist(d.out_indptr, d.out_indices, d.n)
     if (table == UNREACHABLE).any():
         pair = find_unreachable_pair(d)
@@ -80,31 +61,33 @@ def all_pairs_directed(d: Digraph) -> DistanceMatrix:
             f"digraph is not strongly connected: no directed path {pair[0]} -> {pair[1]}",
             pair=pair,
         )
-    return DistanceMatrix(n=d.n, d=table)
+    table.setflags(write=False)
+    return table
 
 
-def _check_pair(m: DistanceMatrix, u: int, v: int) -> None:
-    if not (0 <= u < m.n and 0 <= v < m.n):
-        raise VertexOutOfRange(f"vertex pair ({u},{v}) not in 0..{m.n - 1}")
-    if m.d[u, v] == UNREACHABLE or m.d[v, u] == UNREACHABLE:
+def _check_pair(table: np.ndarray, u: int, v: int) -> None:
+    n = table.shape[0]
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexOutOfRange(f"vertex pair ({u},{v}) not in 0..{n - 1}")
+    if table[u, v] == UNREACHABLE or table[v, u] == UNREACHABLE:
         raise NotStrong(f"distance between {u} and {v} undefined in one direction")
 
 
-def max_distance(m: DistanceMatrix, u: int, v: int) -> int:
-    """md(u,v): the larger of the two directed distances."""
-    _check_pair(m, u, v)
-    return int(max(m.d[u, v], m.d[v, u]))
+def max_distance(table: np.ndarray, u: int, v: int) -> int:
+    """md(u,v) from an `all_pairs_directed` table: the larger directed distance."""
+    _check_pair(table, u, v)
+    return int(max(table[u, v], table[v, u]))
 
 
-def sum_distance(m: DistanceMatrix, u: int, v: int) -> int:
+def sum_distance(table: np.ndarray, u: int, v: int) -> int:
     """sd(u,v): the two directed distances added (convenience only)."""
-    _check_pair(m, u, v)
-    return int(m.d[u, v] + m.d[v, u])
+    _check_pair(table, u, v)
+    return int(table[u, v] + table[v, u])
 
 
 def metric_profile(d: Digraph) -> MetricProfile:
     """md table, eccentricities, radius, and diameter of a strong digraph."""
-    table = all_pairs_directed(d).d
+    table = all_pairs_directed(d)
     md = np.maximum(table, table.T)
     ecc = md.max(axis=1)
     return MetricProfile(

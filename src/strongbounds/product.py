@@ -23,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryProfile, _segment_max, boundary_profile
+from .boundary import BoundaryProfile, _segment_max, _worst_columns, boundary_profile
 from .digraph import Digraph, from_arcs
 from .errors import SizeOverflow, VertexOutOfRange
 from .metric import MetricProfile, metric_profile
 
 DEFAULT_VERTEX_BUDGET = 10_000
-# Entries of one gathered block of md columns in the worst-neighbour reduction.
-_GATHER_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -197,9 +195,9 @@ def _grid_to_set(grid: np.ndarray) -> frozenset[int]:
 
 
 def _worst_neighbor_md(d: Digraph, p: MetricProfile) -> np.ndarray:
-    """worst[v] = max md(v, w) over w in N(v); 0 for an empty neighborhood."""
+    """worst[v] = max md(v, w) over w in N(v); -1 for an empty neighborhood."""
     rows = np.repeat(np.arange(d.n), np.diff(d.und_indptr))
-    return _segment_max(p.md[rows, d.und_indices], d.und_indptr, 0)
+    return _segment_max(p.md[rows, d.und_indices], d.und_indptr)
 
 
 def product_boundary_via_factors(f: FactorPair) -> frozenset[int]:
@@ -305,17 +303,13 @@ def _witness_reach(d: Digraph, p: MetricProfile) -> tuple[np.ndarray, np.ndarray
 
     A(v) = max{md(u, v) : W[u, v] <= md(u, v)}, -1 when v has no witness u.
     m(v) = min over u of max(md(u, v), W[u, v]).
-    W is reduced over blocks of rows u, so memory stays O(rows·|arcs|).
     """
-    n = d.n
-    step = max(1, _GATHER_CELLS // max(1, d.und_indices.size))
-    reach = np.full(n, -1, dtype=np.int64)
-    least = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    for u0 in range(0, n, step):
-        md = p.md[u0:u0 + step]
-        worst = _segment_max(md[:, d.und_indices], d.und_indptr, -1)
-        reach = np.maximum(reach, np.where(worst <= md, md, -1).max(axis=0))
-        least = np.minimum(least, np.maximum(md, worst).min(axis=0))
+    reach = np.empty(d.n, dtype=np.int64)
+    least = np.empty(d.n, dtype=np.int64)
+    for v, worst in _worst_columns(p.md, d.und_indptr, d.und_indices):
+        md = p.md[v]
+        reach[v] = np.where(worst <= md, md, -1).max()
+        least[v] = np.maximum(md, worst).min()
     return reach, least
 
 
@@ -349,8 +343,8 @@ def product_contour_exact_via_factors(f: FactorPair) -> frozenset[int]:
     j in N1(i) that is c1(i) <= E. The column neighbors give c2(r) <= E, and
     the diagonal neighbors add nothing.
     """
-    c1 = _segment_max(f.p1.ecc[f.d1.und_indices], f.d1.und_indptr, -1)
-    c2 = _segment_max(f.p2.ecc[f.d2.und_indices], f.d2.und_indptr, -1)
+    c1 = _segment_max(f.p1.ecc[f.d1.und_indices], f.d1.und_indptr)
+    c2 = _segment_max(f.p2.ecc[f.d2.und_indices], f.d2.und_indptr)
     e = np.maximum.outer(f.p1.ecc, f.p2.ecc)
     return _grid_to_set((c1[:, None] <= e) & (c2[None, :] <= e))
 

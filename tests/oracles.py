@@ -58,6 +58,22 @@ def boundary(n, arcs, md):
     return members
 
 
+def witness_reach(n, arcs, md):
+    """(A, m) of the exact product boundary route, straight from the definitions.
+
+    W[u][v] = max md[u][w] over w in N(v), -1 for an empty N(v);
+    A[v] = max{md[u][v] : W[u][v] <= md[u][v]}, -1 when v has no witness;
+    m[v] = min over u of max(md[u][v], W[u][v]).
+    """
+    reach, least = [], []
+    for v in range(n):
+        nv = neighbors(n, arcs, v)
+        worst = [max((md[u][w] for w in nv), default=-1) for u in range(n)]
+        reach.append(max((md[u][v] for u in range(n) if worst[u] <= md[u][v]), default=-1))
+        least.append(min(max(md[u][v], worst[u]) for u in range(n)))
+    return reach, least
+
+
 def eccentric(n, md):
     ecc = ecc_vector(md)
     return {v for v in range(n) if any(md[u][v] == ecc[u] for u in range(n))}

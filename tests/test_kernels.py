@@ -8,9 +8,11 @@ import oracles
 from strongbounds import (
     GeneratorConfig,
     _kernels,
+    boundary_set,
     directed_distances_from,
     from_arcs,
     generate_strong_digraph,
+    metric_profile,
     strong_product,
 )
 from strategies import digraphs, strong_digraphs
@@ -117,8 +119,5 @@ class TestBoundaryLanes:
     @settings(deadline=None)
     @given(strong_digraphs(max_n=7))
     def test_lanes_agree(self, d):
-        dist = _dist(d)
-        md = np.maximum(dist, dist.T)
-        mask = _kernels.boundary_mask(md, d.und_indptr, d.und_indices)
-        expected = oracles.boundary(d.n, d.arcs, md.tolist())
-        assert set(np.flatnonzero(mask).tolist()) == expected
+        p = metric_profile(d)
+        assert boundary_set(p, d) == oracles.boundary(d.n, d.arcs, p.md.tolist())

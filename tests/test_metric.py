@@ -42,16 +42,16 @@ class TestDirectedDistances:
 class TestAllPairs:
     def test_example_d1_entries(self, d1):
         m = all_pairs_directed(d1)
-        assert m.d[0, 2] == 2 and m.d[2, 0] == 2 and m.d[0, 1] == 1
+        assert m[0, 2] == 2 and m[2, 0] == 2 and m[0, 1] == 1
 
     def test_complete_bidirected(self):
         arcs = [(a, b) for a in range(4) for b in range(4) if a != b]
         m = all_pairs_directed(from_arcs(4, arcs))
-        assert (m.d[~np.eye(4, dtype=bool)] == 1).all()
+        assert (m[~np.eye(4, dtype=bool)] == 1).all()
 
     def test_directed_cycle(self):
         m = all_pairs_directed(from_arcs(3, CYCLE3))
-        assert m.d[0, 1] == 1 and m.d[1, 0] == 2
+        assert m[0, 1] == 1 and m[1, 0] == 2
 
     def test_not_strong_named_pair(self):
         with pytest.raises(NotStrong) as exc:
@@ -68,7 +68,7 @@ class TestAllPairs:
             got = [directed_distances_from(d, s).tolist() for s in range(d.n)]
             assert got == expected
         else:
-            assert all_pairs_directed(d).d.tolist() == expected
+            assert all_pairs_directed(d).tolist() == expected
 
 
 class TestMaxAndSumDistance:
@@ -141,4 +141,4 @@ class TestMetricProfile:
         # every arc paired with its reverse: both directed tables coincide
         m = all_pairs_directed(d)
         p = metric_profile(d)
-        assert np.array_equal(p.md, m.d)
+        assert np.array_equal(p.md, m)

@@ -10,7 +10,7 @@ those two sets are checked against the oracles directly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -40,6 +40,7 @@ from strongbounds import (
     swap_product_set,
     undirected_formula_counterexample,
 )
+from strongbounds.product import _witness_reach
 from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2, CE_CONTOUR_D1, CE_CONTOUR_D2
 from strategies import bidirected_strong_digraphs, digraphs, strong_digraphs
 
@@ -268,6 +269,17 @@ class TestExactFactorRoutes:
     @given(small_factor_pairs())
     def test_matches_oracle(self, pair_of):
         self.assert_exact(*pair_of)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strong_digraphs(max_n=7))
+    @example(from_arcs(1, []))
+    def test_witness_reach_shares_the_boundary_reduction(self, d):
+        # A and m against their definitions; A(v) >= 0 iff v has a witness,
+        # so the boundary scan and the exact route read the same W.
+        p = metric_profile(d)
+        reach, least = _witness_reach(d, p)
+        assert (reach.tolist(), least.tolist()) == oracles.witness_reach(d.n, d.arcs, p.md.tolist())
+        assert boundary_set(p, d) == set(np.flatnonzero(reach >= 0).tolist())
 
 
 class TestEqualParameterCases:

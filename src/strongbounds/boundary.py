@@ -55,17 +55,18 @@ def _segment_max(gathered: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _worst_columns(md: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-    """Yield (v, W[:, v]) for every v, where W[u, v] = max md(u, w) over w in N(v).
+def _worst_columns(md: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vertices=None):
+    """Yield (v, W[:, v]) for each v in vertices (all by default).
 
-    md is symmetric, so column v of W is the max of the md rows of v's
-    neighbors, which are contiguous; all -1 for an empty neighbor row. This is
-    the one worst-neighbour reduction: the boundary scan and the exact product
-    routes both read it, and W is never stored whole.
+    W[u, v] = max md(u, w) over w in N(v). md is symmetric, so column v of W
+    is the max of the md rows of v's neighbors, which are contiguous; all -1
+    for an empty neighbor row. This is the one worst-neighbour reduction: the
+    boundary scan's fallback and the exact product routes both read it, and W
+    is never stored whole.
     """
     empty = np.full(md.shape[0], -1, dtype=md.dtype)
     bounds = indptr.tolist()
-    for v in range(md.shape[0]):
+    for v in range(md.shape[0]) if vertices is None else vertices:
         lo, hi = bounds[v], bounds[v + 1]
         yield v, md[indices[lo:hi]].max(axis=0) if lo < hi else empty
 
@@ -80,17 +81,40 @@ def is_boundary_vertex_of(p: MetricProfile, d: Digraph, v: int, u: int) -> bool:
     return bool((p.md[u, nbrs] <= p.md[u, v]).all())
 
 
-def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> frozenset[int]:
-    """Vertices v admitting a witness u with md(u,w) <= md(u,v) for all w in N(v).
+def _boundary_witnesses(p: MetricProfile, d: Digraph, neighborhood: str) -> np.ndarray:
+    """A verified witness u for each boundary vertex v, -1 for a non-member.
 
-    The witness ranges over all of V including v itself, which only matters
-    for the single-vertex digraph (empty neighbor list, vacuously boundary).
+    The candidate for v is argmax_u (md(u, v) - ecc(u)); it is a witness
+    whenever v is eccentric for some u. All candidates are checked against the
+    definition at once, in O(m). Only the vertices whose candidate fails get
+    their W column built, and there the witness is the first u that passes.
     """
     _check_neighborhood(neighborhood)
     indptr, indices = _neighbor_csr(d, neighborhood)
     md = p.md
-    columns = _worst_columns(md, indptr, indices)
-    return frozenset(v for v, worst in columns if (worst <= md[v]).any())
+    # md is symmetric: row v of md - ecc[None, :] holds md(u, v) - ecc(u) for
+    # every u, and a row argmax needs no transposed copy of the table
+    cand = (md - p.ecc[None, :]).argmax(axis=1)
+    rows = np.repeat(np.arange(d.n), np.diff(indptr))
+    worst = _segment_max(md[cand[rows], indices], indptr)
+    witness = np.where(worst <= md[cand, np.arange(d.n)], cand, -1)
+    for v, col in _worst_columns(md, indptr, indices, np.flatnonzero(witness < 0).tolist()):
+        hits = np.flatnonzero(col <= md[v])
+        if hits.size:
+            witness[v] = hits[0]
+    return witness
+
+
+def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> frozenset[int]:
+    """Vertices v admitting a witness u with md(u,w) <= md(u,v) for all w in N(v).
+
+    The members are the vertices with a witness in `_boundary_witnesses`,
+    which checks one candidate per vertex and builds a W column only where the
+    candidate fails. The witness ranges over all of V including v itself,
+    which only matters for the single-vertex digraph (empty neighbor list,
+    vacuously boundary).
+    """
+    return frozenset(np.flatnonzero(_boundary_witnesses(p, d, neighborhood) >= 0).tolist())
 
 
 def eccentric_set(p: MetricProfile) -> frozenset[int]:

@@ -24,6 +24,8 @@ class GeneratorConfig:
             raise InvalidConfig(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidConfig(f"p must be in [0, 1], got {self.p}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.max_retries < 0:
             raise InvalidConfig(f"max_retries must be >= 0, got {self.max_retries}")
 

@@ -191,6 +191,8 @@ def run_verification(
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if n_max < 2:
         raise InvalidConfig(f"n_max must be >= 2, got {n_max}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     unknown = set(properties) - set(PROPERTIES)
     if unknown:
         raise InvalidConfig(f"unknown properties: {sorted(unknown)}")

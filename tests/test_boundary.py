@@ -1,9 +1,12 @@
 """The four boundary-type sets, directly from their definitions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strongbounds.boundary as boundary_mod
 from strongbounds import (
     boundary_profile,
     boundary_set,
@@ -11,12 +14,36 @@ from strongbounds import (
     eccentric_set,
     from_arcs,
     is_boundary_vertex_of,
+    is_strong,
     metric_profile,
     periphery_set,
 )
-from strategies import strong_digraphs
+from strongbounds.boundary import NEIGHBORHOODS, _boundary_witnesses
+from strategies import digraphs, strong_digraphs
 
 CYCLE5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+# GeneratorConfig(n=6, p=0.15, seed=3): vertex 5 is a boundary vertex that is
+# eccentric for nobody (its witnesses are 0 and 4)
+NON_ECCENTRIC_MEMBER = (6, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 1), (3, 4), (3, 5), (4, 5),
+                            (5, 0)])
+
+
+def bidirected_path(n):
+    return from_arcs(n, [arc for v in range(n - 1) for arc in ((v, v + 1), (v + 1, v))])
+
+
+def record_fallback(monkeypatch):
+    """The vertices whose W column the boundary scan builds, in visiting order."""
+    visited = []
+    real = boundary_mod._worst_columns
+
+    def recording(md, indptr, indices, vertices=None):
+        for v, worst in real(md, indptr, indices, vertices):
+            visited.append(v)
+            yield v, worst
+
+    monkeypatch.setattr(boundary_mod, "_worst_columns", recording)
+    return visited
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +124,50 @@ class TestAgainstOracles:
         assert eccentric_set(p) == oracles.eccentric(d.n, md)
         assert periphery_set(p) == oracles.periphery(d.n, md)
         assert contour_set(p, d) == oracles.contour(d.n, d.arcs, md)
+
+
+class TestWitnesses:
+    """The witness array behind boundary_set: candidates first, W columns only where they fail."""
+
+    @settings(max_examples=100)
+    @given(digraphs().filter(is_strong), st.sampled_from(NEIGHBORHOODS))
+    def test_every_witness_checks_out(self, d, neighborhood):
+        p = metric_profile(d)
+        witness = _boundary_witnesses(p, d, neighborhood)
+        for v, u in enumerate(witness.tolist()):
+            if u >= 0:
+                assert is_boundary_vertex_of(p, d, v, u)
+        members = set(np.flatnonzero(witness >= 0).tolist())
+        assert members == oracles.boundary(d.n, d.arcs, oracles.md_table(d.n, d.arcs))
+
+    def test_fallback_finds_non_eccentric_member(self, monkeypatch):
+        d = from_arcs(*NON_ECCENTRIC_MEMBER)
+        p = metric_profile(d)
+        visited = record_fallback(monkeypatch)
+        witness = _boundary_witnesses(p, d, "open")
+        assert 5 not in eccentric_set(p)
+        assert 5 in visited
+        assert witness[5] == 0  # the first u whose W entry passes
+        assert is_boundary_vertex_of(p, d, 5, 0)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            from_arcs(6, [(a, b) for a in range(6) for b in range(6) if a != b]),
+            from_arcs(5, CYCLE5),
+        ],
+        ids=["complete-bidirected", "directed-cycle"],
+    )
+    def test_all_candidates_pass(self, monkeypatch, d):
+        visited = record_fallback(monkeypatch)
+        assert boundary_set(metric_profile(d), d) == set(range(d.n))
+        assert visited == []
+
+    def test_path_falls_back_on_exactly_the_non_members(self, monkeypatch):
+        d = bidirected_path(30)
+        visited = record_fallback(monkeypatch)
+        assert boundary_set(metric_profile(d), d) == {0, 29}
+        assert visited == list(range(1, 29))
 
 
 class TestProperties:

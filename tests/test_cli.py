@@ -18,6 +18,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    src = str(Path(strongbounds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "strongbounds.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
 class TestAnalyze:
     def test_example_d2(self, capsys, d2_path):
         code, out, _ = run(capsys, "analyze", str(d2_path))
@@ -66,7 +83,7 @@ class TestAnalyze:
 
 
 class TestStrictInput:
-    """Malformed numbers and bytes end in a diagnostic with exit 2, never a traceback."""
+    """Malformed numbers, bytes and seeds end in a diagnostic with exit 2, never a traceback."""
 
     @pytest.mark.parametrize(
         "content",
@@ -85,16 +102,18 @@ class TestStrictInput:
     def test_rejected_exit_2(self, tmp_path, content):
         f = tmp_path / "bad.txt"
         f.write_bytes(content)
-        src = str(Path(strongbounds.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "strongbounds.cli", "analyze", str(f)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2
-        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
-        assert "Traceback" not in proc.stderr
+        assert_usage_error(run_subprocess("analyze", str(f)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--trials", "1", "--seed", "-1"),
+            ("gen", "--n", "3", "--p", "0.5", "--seed", "-5"),
+        ],
+        ids=["verify", "gen"],
+    )
+    def test_negative_seed_exit_2(self, argv):
+        assert_usage_error(run_subprocess(*argv))
 
     def test_non_ascii_byte_names_line(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

@@ -24,6 +24,10 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             generate_strong_digraph(GeneratorConfig(n=3, p=0.5, seed=1, max_retries=-1))
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidConfig):
+            generate_strong_digraph(GeneratorConfig(n=3, p=0.5, seed=-1))
+
 
 class TestOutputs:
     def test_single_vertex(self):

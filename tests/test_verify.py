@@ -1,9 +1,12 @@
 """The randomized verification harness itself."""
 
+import hashlib
+
 import pytest
 
 import oracles
 from strongbounds import InvalidConfig, from_arcs, parse_edge_list, strong_product
+from strongbounds.cli import EXIT_VIOLATION, main
 from strongbounds.verify import PROPERTIES, _check_trial, run_verification
 from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2
 
@@ -16,6 +19,10 @@ class TestConfig:
     def test_unknown_property_rejected(self):
         with pytest.raises(InvalidConfig):
             run_verification(trials=1, properties=("metric-axioms", "nonsense"))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfig):
+            run_verification(trials=1, seed=-1)
 
 
 class TestOutcomes:
@@ -77,6 +84,30 @@ class TestOutcomes:
         lines = summary.lines()
         assert len(lines) == len(PROPERTIES)
         assert all("ok" in line or "FAIL" in line for line in lines)
+
+
+class TestGoldenOutput:
+    """verify stdout is pinned byte for byte: tallies, first violation and minimized dump.
+
+    The digests were recorded from the full-column boundary scan that the
+    witness-first scan replaced; any change to the corpus, a property, the
+    minimizer or the scans that alters one byte shows here.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (("verify", "--trials", "200", "--seed", "0"),
+             "a5a58178d9a7e967491b411623a0c0cd9e72b6a421e389eb754e9e5f420c26e5"),
+            (("verify", "--trials", "60", "--seed", "7"),
+             "2b86fe680ba37a14ce8f1aacbac15fb90d94b978ed514f7e6ba7d801944020b1"),
+        ],
+        ids=["trials200-seed0", "trials60-seed7"],
+    )
+    def test_stdout_digest(self, capsys, argv, sha256):
+        assert main(list(argv)) == EXIT_VIOLATION
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
 
 class TestPlantedFault:

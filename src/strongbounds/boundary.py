@@ -117,10 +117,20 @@ def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> fr
     return frozenset(np.flatnonzero(_boundary_witnesses(p, d, neighborhood) >= 0).tolist())
 
 
+def _eccentric_mask(p: MetricProfile, at_least: int = 0) -> np.ndarray:
+    """Mask of the vertices v eccentric for some u with ecc(u) >= at_least.
+
+    The one eccentric-vertex scan. Rows of u below the threshold are cleared in
+    place in its n×n bool table, so md is never copied.
+    """
+    hits = p.md == p.ecc[:, None]
+    hits[p.ecc < at_least] = False
+    return hits.any(axis=0)
+
+
 def eccentric_set(p: MetricProfile) -> frozenset[int]:
     """Vertices realizing some vertex's eccentricity: exists u, md(u,v) = ecc(u)."""
-    mask = (p.md == p.ecc[:, None]).any(axis=0)
-    return frozenset(np.flatnonzero(mask).tolist())
+    return frozenset(np.flatnonzero(_eccentric_mask(p)).tolist())
 
 
 def periphery_set(p: MetricProfile) -> frozenset[int]:

@@ -13,16 +13,7 @@ from pathlib import Path
 
 from .boundary import boundary_profile
 from .digraph import find_unreachable_pair
-from .errors import (
-    InvalidConfig,
-    LoopArc,
-    NotStrong,
-    ParallelArc,
-    ParseError,
-    SizeOverflow,
-    StrongboundsError,
-    VertexOutOfRange,
-)
+from .errors import NotStrong, ParseError, SizeOverflow, StrongboundsError
 from .generator import GeneratorConfig, generate_strong_digraph
 from .io_formats import (
     SET_NAMES,
@@ -229,21 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, LoopArc, ParallelArc, VertexOutOfRange, InvalidConfig) as exc:
+    except (StrongboundsError, OSError) as exc:  # any other error is a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotStrong as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_STRONG
-    except SizeOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StrongboundsError as exc:  # remaining library errors are usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return {NotStrong: EXIT_NOT_STRONG, SizeOverflow: EXIT_BUDGET}.get(type(exc), EXIT_PARSE)
 
 
 if __name__ == "__main__":

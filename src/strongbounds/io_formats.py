@@ -23,7 +23,14 @@ from .boundary import BoundaryProfile
 from .digraph import Digraph, from_arcs
 from .errors import LoopArc, ParallelArc, ParseError, UnknownSetName, VertexOutOfRange
 
-SET_NAMES = ("boundary", "contour", "eccentricity", "periphery")
+# report name -> BoundaryProfile field, in report order
+SET_FIELDS = {
+    "boundary": "boundary",
+    "contour": "contour",
+    "eccentricity": "eccentricity_set",
+    "periphery": "periphery",
+}
+SET_NAMES = tuple(SET_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -112,15 +119,9 @@ def serialize_edge_list(
 
 def resolve_set_name(profile: BoundaryProfile, name: str) -> frozenset[int]:
     """Map a set name to its members; UnknownSetName otherwise."""
-    table = {
-        "boundary": profile.boundary,
-        "contour": profile.contour,
-        "eccentricity": profile.eccentricity_set,
-        "periphery": profile.periphery,
-    }
-    if name not in table:
+    if name not in SET_FIELDS:
         raise UnknownSetName(f"unknown set {name!r}; expected one of {SET_NAMES}")
-    return table[name]
+    return getattr(profile, SET_FIELDS[name])
 
 
 def export_dot(

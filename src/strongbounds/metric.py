@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .digraph import Digraph, _bfs_levels, find_unreachable_pair
+from .digraph import Digraph, _bfs_levels
 from .errors import NotStrong, VertexOutOfRange
 
 UNREACHABLE = -1
@@ -49,14 +49,14 @@ def directed_distances_from(d: Digraph, source: int) -> np.ndarray:
 def all_pairs_directed(d: Digraph) -> np.ndarray:
     """Read-only int32 table of directed hop counts, t[u, v] = shortest u->v path.
 
-    NotStrong if any pair is unreachable.
+    NotStrong if any pair is unreachable, naming the first hole in row-major
+    order: (0, x) for the least x that 0 cannot reach, else (u, 0) for the
+    least u that cannot reach 0, the pair `find_unreachable_pair` gives.
     """
     table = _kernels.all_pairs_directed_dist(d.out_indptr, d.out_indices, d.n)
-    if (table == UNREACHABLE).any():
-        pair = find_unreachable_pair(d)
-        if pair is None:  # strong by dual BFS yet a hole in the table: kernel bug
-            u, v = np.argwhere(table == UNREACHABLE)[0]
-            pair = (int(u), int(v))
+    holes = table == UNREACHABLE
+    if holes.any():
+        pair = divmod(int(holes.argmax()), d.n)
         raise NotStrong(
             f"digraph is not strongly connected: no directed path {pair[0]} -> {pair[1]}",
             pair=pair,

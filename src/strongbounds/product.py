@@ -10,7 +10,7 @@ characterizations are kept as they are stated, and they are NOT equivalent to
 the definition-level sets on all inputs (see `verify.run_verification` and the
 test suite for the known divergences). `product_boundary_exact_via_factors`
 and `product_contour_exact_via_factors` are the exact factor-side routes for
-those two sets; their docstrings carry the proof sketch.
+those two sets. Each exact set's docstring carries its proof.
 
 Pair (i, r) is encoded as i*n2 + r, which is exactly C-order raveling of an
 (n1, n2) grid; the formula code exploits that by building boolean grids and
@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryProfile, _segment_max, _worst_columns, boundary_profile
+from .boundary import (
+    BoundaryProfile,
+    _eccentric_mask,
+    _segment_max,
+    _worst_columns,
+    boundary_profile,
+)
 from .digraph import Digraph, from_arcs
 from .errors import SizeOverflow, VertexOutOfRange
 from .metric import MetricProfile, metric_profile
@@ -167,11 +173,8 @@ def product_metric_profile(f: FactorPair, budget: int = DEFAULT_VERTEX_BUDGET) -
         raise SizeOverflow(
             f"product md table on {n} vertices exceeds the budget of {budget}"
         )
-    n1, n2 = f.d1.n, f.d2.n
-    md = np.maximum(
-        np.repeat(np.repeat(f.p1.md, n2, axis=0), n2, axis=1),
-        np.tile(f.p2.md, (n1, n1)),
-    ).astype(np.int32)
+    # md[(i, r), (j, s)] = max(md1[i, j], md2[r, s]); axes (i, r, j, s) ravel to C order
+    md = np.maximum(f.p1.md[:, None, :, None], f.p2.md[None, :, None, :]).reshape(n, n)
     summary = product_metric_summary(f)
     return MetricProfile(md=md, ecc=summary.ecc, radius=summary.radius, diameter=summary.diameter)
 
@@ -185,8 +188,7 @@ def product_metric_profile(f: FactorPair, budget: int = DEFAULT_VERTEX_BUDGET) -
 
 def _member_mask(members: frozenset[int], n: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
-    if members:
-        mask[sorted(members)] = True
+    mask[list(members)] = True
     return mask
 
 
@@ -226,47 +228,27 @@ def product_boundary_via_factors(f: FactorPair) -> frozenset[int]:
 
 
 def product_periphery_via_factors(f: FactorPair) -> frozenset[int]:
-    """Periphery of the product from factor peripheries, split on diameters."""
-    n1, n2 = f.d1.n, f.d2.n
-    pe1 = _member_mask(f.b1.periphery, n1)
-    pe2 = _member_mask(f.b2.periphery, n2)
-    if f.p1.diameter < f.p2.diameter:
-        grid = np.broadcast_to(pe2[None, :], (n1, n2))
-    elif f.p1.diameter > f.p2.diameter:
-        grid = np.broadcast_to(pe1[:, None], (n1, n2))
-    else:
-        grid = pe1[:, None] | pe2[None, :]
-    return _grid_to_set(grid)
+    """Periphery of the product: (i, r) with ecc1(i) = D or ecc2(r) = D.
 
-
-def _eccentric_rows_at_least(p: MetricProfile, threshold: int) -> np.ndarray:
-    """Union of per-vertex eccentric-vertex sets over vertices with ecc >= threshold."""
-    rows = p.ecc >= threshold
-    if not rows.any():
-        return np.zeros(p.n, dtype=bool)
-    return (p.md[rows] == p.ecc[rows, None]).any(axis=0)
+    Proof. With D = max(diam1, diam2), the product diameter, (i, r) is
+    peripheral iff max(ecc1(i), ecc2(r)) = D, and neither eccentricity exceeds D.
+    """
+    top = max(f.p1.diameter, f.p2.diameter)
+    return _grid_to_set((f.p1.ecc == top)[:, None] | (f.p2.ecc == top)[None, :])
 
 
 def product_eccentric_via_factors(f: FactorPair) -> frozenset[int]:
-    """Eccentricity set of the product from factor data, split on radii.
+    """Eccentricity set of the product: E1 × V2 ∪ V1 × E2.
 
-    Equal radii: eccentric vertices of either factor paired with everything.
-    Smaller first radius: the first-factor side shrinks to eccentric vertices
-    of vertices whose eccentricity reaches the second radius. The opposite
-    ordering is handled by commutativity (swap and mirror).
+    E1 holds the vertices of D1 eccentric for some i with ecc1(i) >= rad2, and
+    E2 the mirror image. Proof. (j, s) is eccentric for (i, r) iff
+    md1(i, j) = ecc1(i) >= ecc2(r) or md2(r, s) = ecc2(r) >= ecc1(i). In the
+    first case s is free and r can be taken of eccentricity rad2, so the case
+    holds for some (i, r) iff j is in E1; the second is the mirror image.
     """
-    n1, n2 = f.d1.n, f.d2.n
-    ec1 = _member_mask(f.b1.eccentricity_set, n1)
-    ec2 = _member_mask(f.b2.eccentricity_set, n2)
-    if f.p1.radius == f.p2.radius:
-        grid = ec1[:, None] | ec2[None, :]
-    elif f.p1.radius < f.p2.radius:
-        a = _eccentric_rows_at_least(f.p1, f.p2.radius)
-        grid = a[:, None] | ec2[None, :]
-    else:
-        b = _eccentric_rows_at_least(f.p2, f.p1.radius)
-        grid = ec1[:, None] | b[None, :]
-    return _grid_to_set(grid)
+    e1 = _eccentric_mask(f.p1, at_least=f.p2.radius)
+    e2 = _eccentric_mask(f.p2, at_least=f.p1.radius)
+    return _grid_to_set(e1[:, None] | e2[None, :])
 
 
 def product_contour_via_factors(f: FactorPair) -> frozenset[int]:

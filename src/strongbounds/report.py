@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .boundary import BoundaryProfile, boundary_profile
 from .digraph import Digraph
-from .io_formats import EdgeListDocument
+from .io_formats import SET_FIELDS, EdgeListDocument
 from .metric import metric_profile
 from .product import (
     DEFAULT_VERTEX_BUDGET,
@@ -25,17 +25,8 @@ from .product import (
 FORMAT_VERSION = 1
 
 
-def _set_list(members: frozenset[int]) -> list[int]:
-    return sorted(members)
-
-
 def _sets_dict(bp: BoundaryProfile) -> dict:
-    return {
-        "boundary": _set_list(bp.boundary),
-        "contour": _set_list(bp.contour),
-        "eccentricity": _set_list(bp.eccentricity_set),
-        "periphery": _set_list(bp.periphery),
-    }
+    return {name: sorted(getattr(bp, field)) for name, field in SET_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -142,10 +133,8 @@ def analyze_product(
         payload["oracle_sets"] = _sets_dict(oracle_sets)
     if mode == "both":
         payload["differences"] = {
-            "boundary": _set_list(formula_sets.boundary ^ oracle_sets.boundary),
-            "contour": _set_list(formula_sets.contour ^ oracle_sets.contour),
-            "eccentricity": _set_list(formula_sets.eccentricity_set ^ oracle_sets.eccentricity_set),
-            "periphery": _set_list(formula_sets.periphery ^ oracle_sets.periphery),
+            name: sorted(getattr(formula_sets, field) ^ getattr(oracle_sets, field))
+            for name, field in SET_FIELDS.items()
         }
     payload["set_provenance"] = {
         "formula_sets": "factor formulas (no product built)" if formula_sets else None,

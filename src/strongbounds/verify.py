@@ -98,6 +98,11 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
         prod, _ = strong_product(d1, d2)
         prod_profile = metric_profile(prod)
         direct = boundary_profile(prod_profile, prod)
+        sides = (
+            ("D1", d1, pair.p1, pair.b1),
+            ("D2", d2, pair.p2, pair.b2),
+            ("product", prod, prod_profile, direct),
+        )
 
     def check(prop: str) -> str | None:
         if prop == "metric-axioms":
@@ -117,8 +122,6 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
                 return "product radius differs from max of factor radii"
             if from_factors.diameter != prod_profile.diameter:
                 return "product diameter differs from max of factor diameters"
-            if not is_strong(prod):
-                return "product of strong factors not strong"
             return None
 
         formulas = {
@@ -135,7 +138,7 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
             return None
 
         if prop == "inclusion-chains":
-            for tag, bp in (("D1", pair.b1), ("D2", pair.b2), ("product", direct)):
+            for tag, _, _, bp in sides:
                 if not bp.periphery <= (bp.contour & bp.eccentricity_set):
                     return f"{tag}: periphery not within contour ∩ eccentricity set"
                 if not (bp.eccentricity_set | bp.contour) <= bp.boundary:
@@ -143,11 +146,10 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
             return None
 
         if prop == "open-closed-equivalence":
-            factors = (("D1", d1, pair.p1), ("D2", d2, pair.p2))
-            for tag, d, p in factors + (("product", prod, prod_profile),):
-                if boundary_set(p, d, "open") != boundary_set(p, d, "closed"):
+            for tag, d, p, bp in sides:
+                if bp.boundary != boundary_set(p, d, "closed"):
                     return f"{tag}: boundary differs between open and closed neighborhoods"
-                if contour_set(p, d, "open") != contour_set(p, d, "closed"):
+                if bp.contour != contour_set(p, d, "closed"):
                     return f"{tag}: contour differs between open and closed neighborhoods"
             return None
 
@@ -193,6 +195,8 @@ def run_verification(
         raise InvalidConfig(f"n_max must be >= 2, got {n_max}")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    if not p_values:
+        raise InvalidConfig("p_values must name at least one arc probability")
     unknown = set(properties) - set(PROPERTIES)
     if unknown:
         raise InvalidConfig(f"unknown properties: {sorted(unknown)}")

@@ -16,6 +16,7 @@ from strongbounds import (
     metric_profile,
     sum_distance,
 )
+from strongbounds.digraph import find_unreachable_pair
 from strategies import bidirected_strong_digraphs, digraphs, strong_digraphs
 
 CYCLE3 = [(0, 1), (1, 2), (2, 0)]
@@ -54,9 +55,20 @@ class TestAllPairs:
         assert m[0, 1] == 1 and m[1, 0] == 2
 
     def test_not_strong_named_pair(self):
-        with pytest.raises(NotStrong) as exc:
-            all_pairs_directed(from_arcs(2, [(0, 1)]))
-        assert exc.value.pair == (1, 0)
+        # the first hole in row-major order is the dual-BFS pair: (0, x) when 0
+        # misses some x, else (u, 0) for the least u that cannot reach 0
+        cases = [
+            (2, [(0, 1)], (1, 0)),
+            (3, [(0, 1), (1, 0), (2, 0)], (0, 2)),
+            (3, [(0, 1), (1, 0)], (0, 2)),  # column-major order would give (2, 0)
+            (4, [(0, 1), (1, 2), (2, 0), (0, 3)], (3, 0)),
+            (4, [(1, 0), (2, 0), (3, 1), (3, 2)], (0, 1)),
+        ]
+        for n, arcs, pair in cases:
+            d = from_arcs(n, arcs)
+            with pytest.raises(NotStrong) as exc:
+                all_pairs_directed(d)
+            assert exc.value.pair == find_unreachable_pair(d) == pair
 
     @given(digraphs(max_n=8))
     def test_matches_floyd_warshall_oracle(self, d):

@@ -41,7 +41,16 @@ from strongbounds import (
     undirected_formula_counterexample,
 )
 from strongbounds.product import _witness_reach
-from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2, CE_CONTOUR_D1, CE_CONTOUR_D2
+from conftest import (
+    CE_BOUNDARY_D1,
+    CE_BOUNDARY_D2,
+    CE_CONTOUR_D1,
+    CE_CONTOUR_D2,
+    D1_ARCS,
+    D1_N,
+    D2_ARCS,
+    D2_N,
+)
 from strategies import bidirected_strong_digraphs, digraphs, strong_digraphs
 
 ALL15 = frozenset(range(15))
@@ -292,6 +301,25 @@ class TestEqualParameterCases:
         c = from_arcs(3, CYCLE3)
         pair = FactorPair.from_digraphs(c, c)
         assert product_eccentric_via_factors(pair) == set(range(9))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((D1_N, D1_ARCS), (D2_N, D2_ARCS)),  # radius 1 < 2, diameter 2 < 4
+            ((D2_N, D2_ARCS), (D1_N, D1_ARCS)),  # both orderings reversed
+            ((3, CYCLE3), (D2_N, D2_ARCS)),  # equal radius 2
+            ((D1_N, D1_ARCS), (3, CYCLE3)),  # equal diameter 2
+            ((1, []), (D2_N, D2_ARCS)),  # one-vertex factor
+        ],
+        ids=["d1-d2", "d2-d1", "c3-d2", "d1-c3", "k1-d2"],
+    )
+    def test_closed_forms_match_oracles(self, first, second):
+        a, b = from_arcs(*first), from_arcs(*second)
+        n = a.n * b.n
+        md = oracles.md_table(n, oracles.strong_product_arcs(a.n, a.arcs, b.n, b.arcs))
+        pair = FactorPair.from_digraphs(a, b)
+        assert product_periphery_via_factors(pair) == oracles.periphery(n, md)
+        assert product_eccentric_via_factors(pair) == oracles.eccentric(n, md)
 
     def test_contour_contains_cross_product(self, d1):
         pair = FactorPair.from_digraphs(d1, d1)

@@ -24,6 +24,10 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             run_verification(trials=1, seed=-1)
 
+    def test_empty_p_values_rejected(self):
+        with pytest.raises(InvalidConfig):
+            run_verification(trials=1, p_values=())
+
 
 class TestOutcomes:
     def test_clean_corpus_passes(self):

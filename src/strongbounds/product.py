@@ -140,7 +140,7 @@ def product_distance(f: FactorPair, a: tuple[int, int], b: tuple[int, int]) -> i
 
 def product_eccentricities(f: FactorPair) -> np.ndarray:
     """Product eccentricity vector in encoded order: max of factor eccs."""
-    return np.maximum.outer(f.p1.ecc, f.p2.ecc).ravel().astype(np.int32)
+    return np.maximum.outer(f.p1.ecc, f.p2.ecc).ravel()
 
 
 @dataclass(frozen=True)

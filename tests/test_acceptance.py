@@ -296,7 +296,11 @@ def test_criterion_7_undirected_formula_counterexample(d1_path, d2_path):
 
 
 def test_criterion_8_formula_mode_scalability(tmp_path):
-    """Formula-mode analysis of a 10^6-vertex product in under 10 s, no construction."""
+    """Formula-mode analysis of a 10^6-vertex product in under 10 s, no construction.
+
+    The report must also be exactly ``json.dumps(payload, indent=2)`` plus a
+    newline: the 10^6-entry eccentricity list takes the encoder's int-list path.
+    """
     n = 1000
 
     def path_text(name: str) -> str:
@@ -319,9 +323,11 @@ def test_criterion_8_formula_mode_scalability(tmp_path):
         ["product", str(f1), str(f2), "--mode", "formula", "--budget", "1", "--out", str(out)]
     )
     elapsed = time.perf_counter() - t0
-    payload = json.loads(out.read_text())
+    text = out.read_text()
+    payload = json.loads(text)
     correct = (
         code == 0
+        and text == json.dumps(payload, indent=2) + "\n"
         and payload["product"]["n"] == n * n
         and payload["product"]["radius"] == 500
         and payload["product"]["diameter"] == 999

@@ -1,7 +1,10 @@
-"""Edge-list parsing/serialization and DOT export."""
+"""Edge-list parsing/serialization, DOT export and JSON reports."""
+
+import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from strongbounds import (
     LoopArc,
@@ -17,7 +20,31 @@ from strongbounds import (
     resolve_set_name,
     serialize_edge_list,
 )
+from strongbounds.report import _encode
 from strategies import digraphs
+
+# Keys and strings that need every kind of escape: quote, backslash, control
+# characters, non-ASCII (BMP and astral, so surrogate pairs) and U+2028.
+_json_text = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\n\t\u00e9\u2028\U0001f600'))
+)
+# Ints of either sign, and past int64 and uint64.
+_json_ints = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**63) + 2),
+)
+_json_scalars = st.one_of(st.none(), st.booleans(), _json_ints, st.floats(), _json_text)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(_json_ints),
+        st.lists(st.one_of(st.integers(min_value=-3, max_value=3), st.booleans())),
+        st.dictionaries(_json_text, children),
+    ),
+    max_leaves=40,
+)
 
 
 class TestParse:
@@ -154,3 +181,33 @@ class TestReports:
         assert payload["metric"]["radius"] == 2
         assert payload["sets"]["boundary"] == [0, 3, 4]
         assert payload["input"]["labels"]["0"] == "v1"
+
+    @given(_json_values)
+    @example([2**63, -1])  # numpy would meet these in float64
+    @example([2**63 + 1, -1, 2**64, 0])
+    @example([True, 1, False, 0])
+    @example({"": {}, "a": [[], [1, 1, -1]], "\u00e9\"": [None, 1.5, "x"]})
+    def test_encode_matches_json_dumps(self, obj):
+        assert _encode(obj, 0) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "mode, neighborhood",
+        [
+            ("analyze", "open"),
+            ("analyze", "closed"),
+            ("formula", "open"),
+            ("oracle", "open"),
+            ("both", "open"),
+            ("both", "closed"),
+        ],
+    )
+    def test_report_layout_is_json_dumps(self, mode, neighborhood, d1_path, d2_path):
+        from strongbounds import analyze_digraph, analyze_product
+
+        doc1 = parse_edge_list(d1_path.read_text())
+        doc2 = parse_edge_list(d2_path.read_text())
+        if mode == "analyze":
+            report = analyze_digraph(doc2, path=str(d2_path), neighborhood=neighborhood)
+        else:
+            report = analyze_product(doc1, doc2, mode=mode, neighborhood=neighborhood)
+        assert report.to_json() == json.dumps(report.payload, indent=2) + "\n"

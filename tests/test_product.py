@@ -156,6 +156,7 @@ class TestProductMetric:
     def test_example_ecc_labels(self, example_pair):
         label = example_pair.label
         ecc = product_metric_summary(example_pair).ecc
+        assert ecc.dtype == np.int32
         assert ecc[label.encode(1, 2)] == 2  # (u2,v3)
         assert ecc[label.encode(0, 1)] == 3  # (u1,v2)
 

@@ -2,7 +2,8 @@
 
 Subcommands: analyze | product | verify | gen | export.
 Exit codes: 0 success, 1 verification property violation, 2 parse/usage error,
-3 not strongly connected, 4 vertex budget exceeded.
+3 not strongly connected, 4 vertex budget exceeded or an allocation failed
+(a MemoryError, which for now stands in for checking table sizes up front).
 """
 
 from __future__ import annotations
@@ -220,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError as exc:  # numpy raises a subclass; its message names the size
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_BUDGET
     except (StrongboundsError, OSError) as exc:  # any other error is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return {NotStrong: EXIT_NOT_STRONG, SizeOverflow: EXIT_BUDGET}.get(type(exc), EXIT_PARSE)

@@ -169,6 +169,28 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     )
 
 
+def _adjacency_is_strong(adj: np.ndarray) -> bool:
+    """is_strong on a loop-free boolean n x n adjacency matrix, building no Digraph.
+
+    For n > 1 a vertex with no out-arc or no in-arc rules strongness out at
+    once. Otherwise a dual BFS from vertex 0 advances whole frontiers, row
+    blocks of adj and then of adj.T: O(n^2) work in all.
+    """
+    n = len(adj)
+    if n > 1 and not (adj.any(axis=1).all() and adj.any(axis=0).all()):
+        return False
+    for step in (adj, adj.T):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        front = seen.copy()
+        while front.any():
+            front = step[front].any(axis=0) & ~seen
+            seen |= front
+        if not seen.all():
+            return False
+    return True
+
+
 def is_strong(d: Digraph) -> bool:
     """Every ordered vertex pair joined by a directed path."""
     return find_unreachable_pair(d) is None

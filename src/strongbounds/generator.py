@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, from_arcs, is_strong
+from .digraph import Digraph, _adjacency_is_strong, from_arcs
 from .errors import InvalidConfig
 
 
@@ -41,20 +41,23 @@ class GeneratedDigraph:
 def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
     """Sample each ordered non-loop pair with probability p until strong.
 
-    After max_retries failed resamples, the directed Hamiltonian cycle
-    0->1->...->n-1->0 is added to the last sample; the augmentation is
-    reported so experiments can filter such samples.
+    Strongness is tested on the boolean draw itself; only the kept draw is
+    built into a Digraph. After max_retries failed resamples, the directed
+    Hamiltonian cycle 0->1->...->n-1->0 is added to the last sample; the
+    augmentation is reported so experiments can filter such samples.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     for attempts in range(1, cfg.max_retries + 2):
         draw = rng.random((cfg.n, cfg.n)) < cfg.p
         np.fill_diagonal(draw, False)
-        d = from_arcs(cfg.n, np.argwhere(draw))
-        if is_strong(d):
-            return GeneratedDigraph(digraph=d, config=cfg, attempts=attempts, augmented=False)
-    if cfg.n > 1:
-        v = np.arange(cfg.n)
-        draw[v, (v + 1) % cfg.n] = True
+        if _adjacency_is_strong(draw):
+            augmented = False
+            break
+    else:
+        augmented = True
+        if cfg.n > 1:
+            v = np.arange(cfg.n)
+            draw[v, (v + 1) % cfg.n] = True
     d = from_arcs(cfg.n, np.argwhere(draw))
-    return GeneratedDigraph(digraph=d, config=cfg, attempts=attempts, augmented=True)
+    return GeneratedDigraph(digraph=d, config=cfg, attempts=attempts, augmented=augmented)

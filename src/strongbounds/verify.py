@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import boundary_profile, boundary_set, contour_set
-from .digraph import Digraph, from_arcs, is_strong
+from .digraph import Digraph, _adjacency_is_strong, from_arcs
 from .errors import InvalidConfig
 from .generator import GeneratorConfig, generate_strong_digraph
 from .metric import metric_profile
@@ -159,19 +159,29 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
 
 
 def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
-    """Greedy arc deletion keeping both factors strong and the violation alive."""
+    """Greedy arc deletion keeping both factors strong and the violation alive.
+
+    Each pass tries the arcs of da in ascending (tail, head) order, deleting
+    one at a time from an adjacency matrix of the arcs kept so far; only a
+    strong candidate is built into a Digraph and checked.
+    """
     def shrink(da: Digraph, db: Digraph, first: bool) -> tuple[Digraph, Digraph]:
         changed = True
         while changed:
             changed = False
-            for arc in sorted(da.arcs):
-                trimmed = from_arcs(da.n, sorted(da.arcs - {arc}))
-                if not is_strong(trimmed):
-                    continue
-                cand = (trimmed, db) if first else (db, trimmed)
-                if _check_trial(cand[0], cand[1], (prop,))[prop] is not None:
-                    da = trimmed
-                    changed = True
+            rows = da._arc_array()
+            adj = np.zeros((da.n, da.n), dtype=bool)
+            adj[rows[:, 0], rows[:, 1]] = True
+            for tail, head in rows.tolist():
+                adj[tail, head] = False
+                if _adjacency_is_strong(adj):
+                    trimmed = from_arcs(da.n, np.argwhere(adj))
+                    cand = (trimmed, db) if first else (db, trimmed)
+                    if _check_trial(cand[0], cand[1], (prop,))[prop] is not None:
+                        da = trimmed
+                        changed = True
+                        continue
+                adj[tail, head] = True
         return (da, db) if first else (db, da)
 
     d1, d2 = shrink(d1, d2, True)

@@ -212,6 +212,15 @@ class TestGen:
         capsys.readouterr()
         assert "augmented=true" in f.read_text()
 
+    def test_unallocatable_draw_exit_4(self):
+        # 10^14 float64 draws, about 728 TiB: more than any 64-bit address
+        # space holds, so the allocation fails at once
+        proc = run_subprocess("gen", "--n", "10000000", "--p", "0.5")
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
 
 class TestExport:
     def test_plain_export(self, capsys, d1_path):

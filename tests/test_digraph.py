@@ -6,6 +6,7 @@ from hypothesis import given
 
 import oracles
 from strongbounds import LoopArc, ParallelArc, VertexOutOfRange, from_arcs, is_strong
+from strongbounds.digraph import _adjacency_is_strong
 from strategies import digraphs
 
 
@@ -176,3 +177,32 @@ class TestIsStrong:
     @given(digraphs())
     def test_matches_transitive_closure_oracle(self, d):
         assert is_strong(d) == oracles.strong_by_closure(d.n, d.arcs)
+
+    @given(digraphs())
+    def test_adjacency_helper_matches_is_strong_and_oracle(self, d):
+        adj = np.zeros((d.n, d.n), dtype=bool)
+        arcs = d._arc_array()
+        adj[arcs[:, 0], arcs[:, 1]] = True
+        assert _adjacency_is_strong(adj) == is_strong(d) == oracles.strong_by_closure(d.n, d.arcs)
+
+    @pytest.mark.parametrize(
+        "n, arcs, strong",
+        [
+            (1, [], True),
+            (2, [], False),
+            (3, [(0, 1), (1, 2), (2, 1)], False),  # 0 is a source
+            (3, [(1, 0), (1, 2), (2, 1)], False),  # 0 is a sink
+            (3, [(0, 1), (1, 2)], False),  # one-way path
+            # every vertex has an out-arc and an in-arc, so only a BFS can tell
+            (4, [(0, 1), (1, 0), (2, 3), (3, 2)], False),  # forward BFS stops
+            (4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], False),  # reverse BFS stops
+            (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], True),
+        ],
+        ids=["k1", "empty-2", "source", "sink", "one-way-path", "two-2-cycles",
+             "no-way-back", "cycle-with-chord"],
+    )
+    def test_adjacency_helper_cases(self, n, arcs, strong):
+        adj = np.zeros((n, n), dtype=bool)
+        for a, b in arcs:
+            adj[a, b] = True
+        assert _adjacency_is_strong(adj) == is_strong(from_arcs(n, arcs)) == strong

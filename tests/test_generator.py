@@ -1,14 +1,19 @@
 """Deterministic random strong-digraph generation."""
 
+import hashlib
+
 import pytest
 
+import strongbounds.generator as generator_mod
 from strongbounds import (
     GeneratorConfig,
     InvalidConfig,
+    from_arcs,
     generate_strong_digraph,
     is_strong,
     serialize_edge_list,
 )
+from strongbounds.cli import main
 
 
 class TestValidation:
@@ -63,3 +68,58 @@ class TestOutputs:
         a = generate_strong_digraph(GeneratorConfig(n=7, p=0.4, seed=1)).digraph
         b = generate_strong_digraph(GeneratorConfig(n=7, p=0.4, seed=2)).digraph
         assert a != b
+
+
+class TestConstruction:
+    """Strongness is tested on the draw: only the kept digraph is built."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GeneratorConfig(n=1, p=0.5, seed=0),
+            GeneratorConfig(n=6, p=0.3, seed=1),  # strong on attempt 8
+            GeneratorConfig(n=6, p=0.0, seed=3, max_retries=2),  # augmented
+        ],
+        ids=["k1", "eighth-attempt", "augmented"],
+    )
+    def test_one_from_arcs_call_per_digraph(self, monkeypatch, cfg):
+        calls = []
+
+        def counting_from_arcs(n, arcs):
+            calls.append(n)
+            return from_arcs(n, arcs)
+
+        monkeypatch.setattr(generator_mod, "from_arcs", counting_from_arcs)
+        out = generate_strong_digraph(cfg)
+        assert calls == [cfg.n]
+        assert is_strong(out.digraph)
+
+
+class TestGoldenOutput:
+    """gen stdout is pinned byte for byte.
+
+    The digests were recorded when each rejected draw was still built into a
+    Digraph and tested with is_strong; testing the draw itself must not move
+    the RNG stream or the kept sample.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (("--n", "1", "--p", "0.5"),
+             "f345a7ce1cb43b0a7ea7fe630d4ea52d087acec6cebc021df1d8e16b9cd86c80"),
+            (("--n", "2", "--p", "0.0"),
+             "1084ee9c0edda31a03d5aeb822bd3532838675b28703f120cb621285e8b3580c"),
+            (("--n", "7", "--p", "0.2", "--seed", "4"),
+             "82b8efcb7f91df5628f1868be92e1e47a55af3ffcbe2b13d79be5135f3b0def7"),
+            (("--n", "6", "--p", "0.3", "--seed", "1"),
+             "d57e785969dc7bb20dc9d3df4db5598529e0f3d51173a7fc31dbd48df33fc3ad"),
+            (("--n", "300", "--p", "0.01", "--seed", "2"),
+             "c3d0001f038a3b0c26e4dbbaf6e5cf59105944a262e72c1042a629d1b44db626"),
+        ],
+        ids=["n1", "n2-augmented", "n7-augmented", "n6-eighth-attempt", "n300-augmented"],
+    )
+    def test_stdout_digest(self, capsys, argv, sha256):
+        assert main(["gen", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256

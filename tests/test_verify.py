@@ -5,9 +5,10 @@ import hashlib
 import pytest
 
 import oracles
-from strongbounds import InvalidConfig, from_arcs, parse_edge_list, strong_product
+import strongbounds.verify as verify_mod
+from strongbounds import InvalidConfig, from_arcs, is_strong, parse_edge_list, strong_product
 from strongbounds.cli import EXIT_VIOLATION, main
-from strongbounds.verify import PROPERTIES, _check_trial, run_verification
+from strongbounds.verify import PROPERTIES, _check_trial, _minimize, run_verification
 from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2
 
 
@@ -59,8 +60,6 @@ class TestOutcomes:
         assert _check_trial(a, b, (v.prop,))[v.prop] is not None
 
     def test_minimized_dump_is_locally_minimal(self):
-        from strongbounds import is_strong
-
         summary = run_verification(trials=12, seed=0, max_violations=1)
         v = summary.violations[0]
         a = parse_edge_list(v.d1_edge_list).digraph
@@ -70,8 +69,6 @@ class TestOutcomes:
             assert not is_strong(trimmed) or _check_trial(trimmed, b, (v.prop,))[v.prop] is None
 
     def test_one_product_build_per_trial(self, monkeypatch):
-        import strongbounds.verify as verify_mod
-
         calls = []
 
         def counting_product(d1, d2, *args):
@@ -88,6 +85,63 @@ class TestOutcomes:
         lines = summary.lines()
         assert len(lines) == len(PROPERTIES)
         assert all("ok" in line or "FAIL" in line for line in lines)
+
+
+def frozenset_minimize(d1, d2, prop):
+    """The minimizer as it was on Python arc sets: the reference for _minimize."""
+    def shrink(da, db, first):
+        changed = True
+        while changed:
+            changed = False
+            for arc in sorted(da.arcs):
+                trimmed = from_arcs(da.n, sorted(da.arcs - {arc}))
+                if not is_strong(trimmed):
+                    continue
+                cand = (trimmed, db) if first else (db, trimmed)
+                if _check_trial(cand[0], cand[1], (prop,))[prop] is not None:
+                    da = trimmed
+                    changed = True
+        return (da, db) if first else (db, da)
+
+    d1, d2 = shrink(d1, d2, True)
+    d2, d1 = shrink(d2, d1, False)
+    return d1, d2
+
+
+class TestMinimizer:
+    def test_builds_only_strong_candidates(self, monkeypatch):
+        summary = run_verification(trials=12, seed=0, minimize=False, max_violations=1)
+        v = summary.violations[0]
+        a = parse_edge_list(v.d1_edge_list).digraph
+        b = parse_edge_list(v.d2_edge_list).digraph
+        built = []
+
+        def recording_from_arcs(n, arcs):
+            d = from_arcs(n, arcs)
+            built.append(d)
+            return d
+
+        monkeypatch.setattr(verify_mod, "from_arcs", recording_from_arcs)
+        _minimize(a, b, v.prop)
+        candidates = a.arc_count + b.arc_count  # the first pass over each factor alone
+        assert 0 < len(built) < candidates
+        assert all(is_strong(d) for d in built)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_violation_matches_frozenset_reference(self, monkeypatch, seed):
+        # stdout shows only the first violation; this checks all of them
+        pairs = []
+
+        def minimize_both_ways(d1, d2, prop):
+            got = _minimize(d1, d2, prop)
+            pairs.append((got, frozenset_minimize(d1, d2, prop)))
+            return got
+
+        monkeypatch.setattr(verify_mod, "_minimize", minimize_both_ways)
+        summary = run_verification(trials=200, seed=seed)
+        assert len(pairs) == len(summary.violations) > 1
+        for got, want in pairs:
+            assert got == want
 
 
 class TestGoldenOutput:
@@ -118,8 +172,6 @@ class TestPlantedFault:
     """The harness must catch a deliberately wrong formula (self-test)."""
 
     def test_planted_wrong_formula_detected(self, monkeypatch):
-        import strongbounds.verify as verify_mod
-
         def wrong_periphery(pair):
             return frozenset({0})
 

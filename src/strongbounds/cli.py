@@ -2,8 +2,9 @@
 
 Subcommands: analyze | product | verify | gen | export.
 Exit codes: 0 success, 1 verification property violation, 2 parse/usage error,
-3 not strongly connected, 4 vertex budget exceeded or an allocation failed
-(a MemoryError, which for now stands in for checking table sizes up front).
+3 not strongly connected, 4 vertex budget exceeded, a size past what int64
+keys or numpy arrays can hold, or an allocation failed (a MemoryError, which
+for now stands in for checking table sizes up front).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .boundary import boundary_profile
-from .digraph import find_unreachable_pair
 from .errors import NotStrong, ParseError, SizeOverflow, StrongboundsError
 from .generator import GeneratorConfig, generate_strong_digraph
 from .io_formats import (
@@ -53,18 +53,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_strong(doc: EdgeListDocument, path: str) -> None:
-    pair = find_unreachable_pair(doc.digraph)
-    if pair is not None:
-        raise NotStrong(
-            f"{path}: digraph is not strongly connected: no directed path {pair[0]} -> {pair[1]}",
-            pair=pair,
-        )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    _require_strong(doc, args.input)
     report = analyze_digraph(doc, path=args.input, neighborhood=args.neighborhood)
     _emit(report.to_text() if args.pretty else report.to_json(), args.out)
     return EXIT_OK
@@ -73,8 +63,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     doc1 = _read_document(args.input1)
     doc2 = _read_document(args.input2)
-    _require_strong(doc1, args.input1)
-    _require_strong(doc2, args.input2)
     report = analyze_product(
         doc1,
         doc2,
@@ -99,7 +87,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if summary.ok:
         print(f"all properties held on {summary.trials} factor pairs")
         return EXIT_OK
-    v = summary.violations[0]
+    v = summary.violation
     print(f"\nproperty violated: {v.prop} (trial {v.trial}): {v.detail}")
     print("minimized factor 1 edge list:")
     sys.stdout.write(v.d1_edge_list)
@@ -123,7 +111,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
     highlight = None
     if args.set != "none":
-        _require_strong(doc, args.input)
         profile = metric_profile(doc.digraph)
         sets = boundary_profile(profile, doc.digraph, args.neighborhood)
         highlight = resolve_set_name(sets, args.set)

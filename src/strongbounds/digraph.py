@@ -7,15 +7,19 @@ be cached and shared freely.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import LoopArc, ParallelArc, VertexOutOfRange
+from .errors import LoopArc, ParallelArc, SizeOverflow, VertexOutOfRange
 
 Arc = tuple[int, int]
+
+# Arc keys row*n + column are int64, so the largest key n*n - 1 must fit in one.
+_MAX_KEYED_N = math.isqrt(2**63 - 1)
 
 
 def _keys_to_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,6 +139,10 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
+    if n > _MAX_KEYED_N:
+        raise SizeOverflow(
+            f"{n} vertices exceed {_MAX_KEYED_N}, the most whose arc keys fit in int64"
+        )
     items = arcs if isinstance(arcs, np.ndarray) else list(arcs)
     try:
         pairs = np.asarray(items, dtype=np.int64)

@@ -29,7 +29,7 @@ class NotStrong(StrongboundsError):
 
 
 class SizeOverflow(StrongboundsError):
-    """A product-scale structure would exceed the configured vertex budget."""
+    """A structure would exceed the vertex budget or the sizes fixed-width arrays can hold."""
 
 
 class ParseError(StrongboundsError):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .digraph import Digraph, _adjacency_is_strong, from_arcs
-from .errors import InvalidConfig
+from .errors import InvalidConfig, SizeOverflow
+
+# numpy cannot even describe an array of 2**63 bytes or more; an n x n float64
+# draw beyond this n raises ValueError rather than MemoryError.
+_MAX_DRAW_N = math.isqrt((2**63 - 1) // 8)
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,10 @@ def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
     augmentation is reported so experiments can filter such samples.
     """
     cfg.validate()
+    if cfg.n > _MAX_DRAW_N:
+        raise SizeOverflow(
+            f"n={cfg.n} exceeds {_MAX_DRAW_N}: the n x n float64 draw needs 2**63 bytes or more"
+        )
     rng = np.random.default_rng(cfg.seed)
     for attempts in range(1, cfg.max_retries + 2):
         draw = rng.random((cfg.n, cfg.n)) < cfg.p

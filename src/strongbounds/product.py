@@ -31,7 +31,7 @@ from .boundary import (
     boundary_profile,
 )
 from .digraph import Digraph, from_arcs
-from .errors import SizeOverflow, VertexOutOfRange
+from .errors import NotStrong, SizeOverflow, VertexOutOfRange
 from .metric import MetricProfile, metric_profile
 
 DEFAULT_VERTEX_BUDGET = 10_000
@@ -68,9 +68,14 @@ class FactorPair:
 
     @classmethod
     def from_digraphs(cls, d1: Digraph, d2: Digraph, neighborhood: str = "open") -> "FactorPair":
-        """Profile both factors; raises NotStrong if either is not strong."""
-        p1 = metric_profile(d1)
-        p2 = metric_profile(d2)
+        """Profile both factors; NotStrong, prefixed "factor 1:" or "factor 2:", if one is not."""
+        profiles = []
+        for k, d in enumerate((d1, d2), 1):
+            try:
+                profiles.append(metric_profile(d))
+            except NotStrong as exc:
+                raise NotStrong(f"factor {k}: {exc}", pair=exc.pair) from None
+        p1, p2 = profiles
         return cls(
             d1=d1,
             d2=d2,

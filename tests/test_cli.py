@@ -29,6 +29,12 @@ def run_subprocess(*argv):
     )
 
 
+def assert_budget_error(proc):
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def assert_usage_error(proc):
     assert proc.returncode == 2
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
@@ -170,8 +176,12 @@ class TestProduct:
     def test_not_strong_factor_exit_3(self, capsys, tmp_path, d2_path):
         weak = tmp_path / "weak.txt"
         weak.write_text("n 2\n0 1\n")
-        code, _, _ = run(capsys, "product", str(d2_path), str(weak))
-        assert code == 3
+        for k, paths in ((2, (d2_path, weak)), (1, (weak, d2_path))):
+            code, _, err = run(capsys, "product", *map(str, paths))
+            assert code == 3
+            assert err == (
+                f"error: factor {k}: digraph is not strongly connected: no directed path 1 -> 0\n"
+            )
 
 
 class TestVerify:
@@ -222,6 +232,25 @@ class TestGen:
         assert "Traceback" not in proc.stderr
 
 
+class TestSizeOverflow:
+    """Sizes past int64 arc keys or numpy's array limit end in exit 4 before numpy is asked."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "HUGE"),
+            ("export", "HUGE"),
+            ("gen", "--n", "100000000000", "--p", "0.5"),
+            ("verify", "--trials", "1", "--n-max", "100000000000"),  # seed 0 draws n1 = 63696168733
+        ],
+        ids=["analyze", "export", "gen", "verify"],
+    )
+    def test_exit_4_without_traceback(self, tmp_path, argv):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("n 9223372036854775808\n")
+        assert_budget_error(run_subprocess(*(str(huge) if a == "HUGE" else a for a in argv)))
+
+
 class TestExport:
     def test_plain_export(self, capsys, d1_path):
         code, out, _ = run(capsys, "export", str(d1_path))
@@ -234,6 +263,13 @@ class TestExport:
         assert code == 0
         assert '"u1" [style=filled, fillcolor=lightblue];' in out
         assert '"u2";' in out
+
+    def test_not_strong_with_set_exit_3_names_pair(self, capsys, tmp_path):
+        f = tmp_path / "weak.txt"
+        f.write_text("n 3\n0 1\n1 0\n")
+        code, _, err = run(capsys, "export", str(f), "--set", "boundary")
+        assert code == 3
+        assert "0 -> 2" in err
 
     def test_unknown_set_exit_2(self, capsys, d1_path):
         with pytest.raises(SystemExit) as exc:

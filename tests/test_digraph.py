@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 
 import oracles
-from strongbounds import LoopArc, ParallelArc, VertexOutOfRange, from_arcs, is_strong
+from strongbounds import (
+    LoopArc, ParallelArc, SizeOverflow, VertexOutOfRange, from_arcs, is_strong,
+)
 from strongbounds.digraph import _adjacency_is_strong
 from strategies import digraphs
 
@@ -38,6 +40,12 @@ class TestFromArcs:
     def test_vertex_count_positive(self):
         with pytest.raises(VertexOutOfRange):
             from_arcs(0, [])
+
+    @pytest.mark.parametrize("n", [3_037_000_500, 2**63])
+    def test_vertex_count_past_int64_keys(self, n):
+        # the largest arc key n*n - 1 would not fit in int64; nothing is allocated
+        with pytest.raises(SizeOverflow):
+            from_arcs(n, [])
 
     def test_equality_ignores_arc_order(self):
         a = from_arcs(3, [(0, 1), (1, 2), (2, 0)])

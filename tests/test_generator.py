@@ -8,6 +8,7 @@ import strongbounds.generator as generator_mod
 from strongbounds import (
     GeneratorConfig,
     InvalidConfig,
+    SizeOverflow,
     from_arcs,
     generate_strong_digraph,
     is_strong,
@@ -32,6 +33,12 @@ class TestValidation:
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig):
             generate_strong_digraph(GeneratorConfig(n=3, p=0.5, seed=-1))
+
+    def test_draw_past_numpy_array_limit(self):
+        # 2**30 x 2**30 float64 is 2**63 bytes: numpy cannot describe it, so the
+        # size is refused before any draw
+        with pytest.raises(SizeOverflow):
+            generate_strong_digraph(GeneratorConfig(n=2**30, p=0.5, seed=0))
 
 
 class TestOutputs:

@@ -17,10 +17,6 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             run_verification(trials=0)
 
-    def test_unknown_property_rejected(self):
-        with pytest.raises(InvalidConfig):
-            run_verification(trials=1, properties=("metric-axioms", "nonsense"))
-
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfig):
             run_verification(trials=1, seed=-1)
@@ -42,8 +38,7 @@ class TestOutcomes:
     def test_corpus_with_divergence_reports_it(self):
         summary = run_verification(trials=12, seed=0)
         assert not summary.ok
-        failing = {v.prop for v in summary.violations}
-        assert "boundary-formula-vs-direct" in failing
+        assert "boundary-formula-vs-direct" in summary.failed
         # the sound suites never trip
         assert "periphery-formula-vs-direct" not in summary.failed
         assert "eccentric-formula-vs-direct" not in summary.failed
@@ -54,14 +49,15 @@ class TestOutcomes:
 
     def test_counterexample_dump_reproduces(self):
         summary = run_verification(trials=12, seed=0)
-        v = next(x for x in summary.violations if x.prop == "boundary-formula-vs-direct")
+        v = summary.violation
+        assert (v.prop, v.trial) == ("boundary-formula-vs-direct", 3)
         a = parse_edge_list(v.d1_edge_list).digraph
         b = parse_edge_list(v.d2_edge_list).digraph
         assert _check_trial(a, b, (v.prop,))[v.prop] is not None
 
     def test_minimized_dump_is_locally_minimal(self):
-        summary = run_verification(trials=12, seed=0, max_violations=1)
-        v = summary.violations[0]
+        summary = run_verification(trials=12, seed=0)
+        v = summary.violation
         a = parse_edge_list(v.d1_edge_list).digraph
         b = parse_edge_list(v.d2_edge_list).digraph
         for arc in sorted(a.arcs):
@@ -79,6 +75,21 @@ class TestOutcomes:
         summary = run_verification(trials=12, seed=3)  # clean corpus: no minimizer calls
         assert summary.ok
         assert len(calls) == 12
+
+    def test_minimizes_only_the_first_violation(self, monkeypatch):
+        calls = []
+
+        def counting_minimize(d1, d2, prop):
+            calls.append(prop)
+            return _minimize(d1, d2, prop)
+
+        monkeypatch.setattr(verify_mod, "_minimize", counting_minimize)
+        summary = run_verification(trials=200, seed=0)
+        assert sum(summary.failed.values()) > 1
+        assert calls == [summary.violation.prop]
+        calls.clear()
+        assert run_verification(trials=12, seed=3).ok
+        assert calls == []
 
     def test_summary_lines_shape(self):
         summary = run_verification(trials=3, seed=3)
@@ -108,12 +119,24 @@ def frozenset_minimize(d1, d2, prop):
     return d1, d2
 
 
+def record_failures(monkeypatch, trials, seed, limit):
+    """The first `limit` failing (d1, d2, prop) cases of a corpus, unminimized, in report order."""
+    cases = []
+
+    def recording_check(d1, d2, props):
+        result = _check_trial(d1, d2, props)
+        if props == PROPERTIES:  # a corpus trial, not a minimizer candidate
+            cases.extend((d1, d2, prop) for prop, msg in result.items() if msg is not None)
+        return result
+
+    monkeypatch.setattr(verify_mod, "_check_trial", recording_check)
+    run_verification(trials=trials, seed=seed)
+    return cases[:limit]
+
+
 class TestMinimizer:
     def test_builds_only_strong_candidates(self, monkeypatch):
-        summary = run_verification(trials=12, seed=0, minimize=False, max_violations=1)
-        v = summary.violations[0]
-        a = parse_edge_list(v.d1_edge_list).digraph
-        b = parse_edge_list(v.d2_edge_list).digraph
+        [(a, b, prop)] = record_failures(monkeypatch, trials=12, seed=0, limit=1)
         built = []
 
         def recording_from_arcs(n, arcs):
@@ -122,26 +145,18 @@ class TestMinimizer:
             return d
 
         monkeypatch.setattr(verify_mod, "from_arcs", recording_from_arcs)
-        _minimize(a, b, v.prop)
+        _minimize(a, b, prop)
         candidates = a.arc_count + b.arc_count  # the first pass over each factor alone
         assert 0 < len(built) < candidates
         assert all(is_strong(d) for d in built)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_violation_matches_frozenset_reference(self, monkeypatch, seed):
-        # stdout shows only the first violation; this checks all of them
-        pairs = []
-
-        def minimize_both_ways(d1, d2, prop):
-            got = _minimize(d1, d2, prop)
-            pairs.append((got, frozenset_minimize(d1, d2, prop)))
-            return got
-
-        monkeypatch.setattr(verify_mod, "_minimize", minimize_both_ways)
-        summary = run_verification(trials=200, seed=seed)
-        assert len(pairs) == len(summary.violations) > 1
-        for got, want in pairs:
-            assert got == want
+        # verify minimizes only the first failure; this minimizes the first ten both ways
+        cases = record_failures(monkeypatch, trials=200, seed=seed, limit=10)
+        assert len(cases) == 10
+        for d1, d2, prop in cases:
+            assert _minimize(d1, d2, prop) == frozenset_minimize(d1, d2, prop)
 
 
 class TestGoldenOutput:
@@ -176,11 +191,9 @@ class TestPlantedFault:
             return frozenset({0})
 
         monkeypatch.setattr(verify_mod, "product_periphery_via_factors", wrong_periphery)
-        summary = run_verification(
-            trials=1, seed=3, properties=("periphery-formula-vs-direct",), minimize=False
-        )
+        summary = run_verification(trials=1, seed=3)
         assert not summary.ok
-        assert summary.violations[0].prop == "periphery-formula-vs-direct"
+        assert summary.violation.prop == "periphery-formula-vs-direct"
 
 
 class TestCheckTrialAgainstOracles:

@@ -1,12 +1,15 @@
 """Analysis reports: deterministic machine-readable JSON, optional pretty text.
 
 Set members are emitted sorted and dict key order is fixed by construction,
-so identical inputs produce byte-identical reports. The JSON text is exactly
-Python's ``json.dumps(payload, indent=2)`` layout plus a trailing newline.
-``_encode`` writes that layout directly: with an indent, ``json.dumps`` runs
-its pure-Python encoder, which walks a 10^6-entry product eccentricity list
-one generator frame per item, while ``_encode`` turns each list of plain ints
-into one ``join``.
+so identical inputs produce byte-identical reports. Every integer sequence of
+a payload (eccentricity vectors, set members, differences) is an int ndarray
+from where it is computed to the encoder. The JSON text is byte-identical to
+``json.dumps(..., indent=2)`` of the same values as lists, plus a trailing
+newline. ``_encode`` writes that layout directly: with an indent,
+``json.dumps`` runs its pure-Python encoder, one generator frame per item of
+a 10^6-entry product eccentricity vector, while ``_encode`` writes an ndarray
+as one ``join`` over a table of decimal strings and joins the pieces of the
+whole report once, so the 10^6-item text is not copied at every nesting level.
 """
 
 from __future__ import annotations
@@ -33,42 +36,59 @@ from .product import (
 FORMAT_VERSION = 1
 
 
-def _int_items(values: list) -> list[str]:
-    """Decimal text of each int in ``values``, one ``str`` call per distinct value."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "f":  # ints on both sides of the int64/uint64 range meet in float64
-        arr = np.asarray(values, dtype=object)
-    distinct, inverse = np.unique(arr, return_inverse=True)
-    table = np.array([str(v) for v in distinct.tolist()], dtype=object)
-    return table.take(inverse).tolist()
+def _int_items(arr: np.ndarray) -> list[str]:
+    """Decimal text of each int in ``arr``, one ``str`` call per table entry.
+
+    The table holds ``lo..hi`` and is indexed by ``arr - lo``; when that range
+    is wider than ``arr`` is long, it holds only the distinct values instead.
+    """
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo > arr.size:
+        distinct, codes = np.unique(arr, return_inverse=True)
+        values = distinct.tolist()
+    else:
+        values, codes = range(lo, hi + 1), arr - lo
+    return np.array([str(v) for v in values], dtype=object).take(codes).tolist()
 
 
 def _encode(obj, level: int) -> str:
-    """``json.dumps(obj, indent=2)`` for a JSON-native value nested ``level`` deep."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if not isinstance(obj, (dict, list)):
-        return json.dumps(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = "\n" + "  " * (level + 1)
+    """``json.dumps(obj, indent=2)`` of ``obj`` nested ``level`` deep, an int ndarray as a list."""
+    out: list[str] = []
+    _write(obj, level, out)
+    return "".join(out)
+
+
+def _write(obj, level: int, out: list[str]) -> None:
+    """Append the pieces of ``_encode(obj, level)`` to ``out``; one ``join`` copies the text."""
+    if not isinstance(obj, (dict, list, np.ndarray)):
+        out.append(encode_basestring_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
+        return
+    if len(obj) == 0:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner, closing = "\n" + "  " * (level + 1), "\n" + "  " * level
     if isinstance(obj, dict):
-        items = [
-            f"{encode_basestring_ascii(key)}: {_encode(value, level + 1)}"
-            for key, value in obj.items()
-        ]
-        opening, closing = "{", "}"
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            out += ["," + inner if i else inner, encode_basestring_ascii(key), ": "]
+            _write(value, level + 1, out)
+        out.append(closing + "}")
+    elif isinstance(obj, np.ndarray):
+        out += ["[", inner, ("," + inner).join(_int_items(obj)), closing + "]"]
     else:
-        if set(map(type, obj)) == {int}:  # type, not isinstance: bools stay true/false
-            items = _int_items(obj)
-        else:
-            items = [_encode(value, level + 1) for value in obj]
-        opening, closing = "[", "]"
-    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
+        out.append("[")
+        for i, value in enumerate(obj):
+            out.append("," + inner if i else inner)
+            _write(value, level + 1, out)
+        out.append(closing + "]")
+
+
+def _sorted_ids(ids: frozenset[int]) -> np.ndarray:
+    return np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
 
 
 def _sets_dict(bp: BoundaryProfile) -> dict:
-    return {name: sorted(getattr(bp, field)) for name, field in SET_FIELDS.items()}
+    return {name: _sorted_ids(getattr(bp, field)) for name, field in SET_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -78,13 +98,15 @@ class AnalysisReport:
     payload: dict
 
     def to_json(self) -> str:
-        """The payload as ``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+        """The payload as JSON text, plus a trailing newline.
 
-        ``_encode`` matches ``json`` because it is built from the same pieces:
-        keys and strings go through ``encode_basestring_ascii``, other scalars
-        through ``json.dumps``, the items of an all-int list through ``str``
-        (``json`` writes ``int.__repr__``, the same text), joined with the
-        same ``","`` and ``": "`` separators and two-space indent.
+        The text is byte-identical to ``json.dumps(..., indent=2)`` of the
+        payload with each int ndarray as a list. ``_encode`` matches ``json``
+        because it is built from the same pieces: keys and strings go through
+        ``encode_basestring_ascii``, other scalars through ``json.dumps``, the
+        items of an int ndarray through ``str`` of Python ints (``json``
+        writes ``int.__repr__``, the same text), joined with the same ``","``
+        and ``": "`` separators and two-space indent.
         """
         return _encode(self.payload, 0) + "\n"
 
@@ -111,7 +133,7 @@ def analyze_digraph(
         },
         "neighborhood": neighborhood,
         "metric": {
-            "eccentricity": profile.ecc.tolist(),
+            "eccentricity": profile.ecc,
             "radius": profile.radius,
             "diameter": profile.diameter,
         },
@@ -167,7 +189,7 @@ def analyze_product(
             "strong": True,
             "radius": summary.radius,
             "diameter": summary.diameter,
-            "eccentricity": summary.ecc.tolist(),
+            "eccentricity": summary.ecc,
         },
     }
 
@@ -183,7 +205,7 @@ def analyze_product(
         payload["oracle_sets"] = _sets_dict(oracle_sets)
     if mode == "both":
         payload["differences"] = {
-            name: sorted(getattr(formula_sets, field) ^ getattr(oracle_sets, field))
+            name: _sorted_ids(getattr(formula_sets, field) ^ getattr(oracle_sets, field))
             for name, field in SET_FIELDS.items()
         }
     payload["set_provenance"] = {
@@ -193,7 +215,7 @@ def analyze_product(
     return AnalysisReport(payload)
 
 
-def _format_set(ids: list[int], labels: dict[str, str], n2: int | None) -> str:
+def _format_set(ids: np.ndarray, labels: dict[str, str], n2: int | None) -> str:
     def show(v: int) -> str:
         if n2 is not None:
             return f"({v // n2},{v % n2})"

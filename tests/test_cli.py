@@ -242,8 +242,9 @@ class TestSizeOverflow:
             ("export", "HUGE"),
             ("gen", "--n", "100000000000", "--p", "0.5"),
             ("verify", "--trials", "1", "--n-max", "100000000000"),  # seed 0 draws n1 = 63696168733
+            ("verify", "--trials", "1", "--n-max", "100000000000000000000"),  # past int64 draws
         ],
-        ids=["analyze", "export", "gen", "verify"],
+        ids=["analyze", "export", "gen", "verify", "verify-n-max-past-int64"],
     )
     def test_exit_4_without_traceback(self, tmp_path, argv):
         huge = tmp_path / "huge.txt"

@@ -1,10 +1,13 @@
 """Edge-list parsing/serialization, DOT export and JSON reports."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from strongbounds import (
     LoopArc,
@@ -20,8 +23,10 @@ from strongbounds import (
     resolve_set_name,
     serialize_edge_list,
 )
+from strongbounds.cli import main
 from strongbounds.report import _encode
 from strategies import digraphs
+from conftest import DATA
 
 # Keys and strings that need every kind of escape: quote, backslash, control
 # characters, non-ASCII (BMP and astral, so surrogate pairs) and U+2028.
@@ -44,6 +49,15 @@ _json_values = st.recursive(
         st.dictionaries(_json_text, children),
     ),
     max_leaves=40,
+)
+# Int arrays of both report dtypes: small values take the offset digit table,
+# values from the whole dtype range the distinct-value fallback.
+_int_arrays = st.sampled_from([np.int32, np.int64]).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype,
+        st.integers(min_value=0, max_value=40),
+        elements=st.one_of(st.integers(min_value=-3, max_value=40), hnp.from_dtype(np.dtype(dtype))),
+    )
 )
 
 
@@ -190,24 +204,56 @@ class TestReports:
     def test_encode_matches_json_dumps(self, obj):
         assert _encode(obj, 0) == json.dumps(obj, indent=2)
 
+    @given(_int_arrays)
+    @example(np.array([], dtype=np.int64))
+    @example(np.array([7], dtype=np.int32))
+    @example(np.array([-5, 3, -5, 0, -1], dtype=np.int64))
+    @example(np.array([-(2**62), 2**62, 0], dtype=np.int64))  # a table over the range is 2**63 long
+    def test_encode_int_array_matches_json_dumps(self, arr):
+        values = arr.tolist()
+        assert _encode(arr, 0) == json.dumps(values, indent=2)
+        assert _encode({"ids": arr}, 0) == json.dumps({"ids": values}, indent=2)
+        assert _encode([arr, [arr]], 0) == json.dumps([values, [values]], indent=2)
+
+    # sha256 of to_json(), recorded before the payload's int sequences became ndarrays
     @pytest.mark.parametrize(
-        "mode, neighborhood",
+        "mode, neighborhood, sha256",
         [
-            ("analyze", "open"),
-            ("analyze", "closed"),
-            ("formula", "open"),
-            ("oracle", "open"),
-            ("both", "open"),
-            ("both", "closed"),
+            ("analyze", "open", "08f59ead7579d4cb09e32e1339df238ba17d3d6ac815440fad7faeb044ec3762"),
+            ("analyze", "closed", "a27b934dee4dc9352365b54dc5ec5329807bdcbbf4dbfdbeb7936cd6a8ed84d2"),
+            ("formula", "open", "c63785208288fe6f05c205ae3beb86cd71caad92bb36fc0663991da591cee694"),
+            ("oracle", "open", "ad18652334f34627c7fb156076b2ae4a04530151fc3a35662149580474d9889c"),
+            ("both", "open", "77bdba690f07ceb6b7d11d025ee19d9aa63556c0b8c99210b26fd7c9475c8318"),
+            ("both", "closed", "3aeadca1b03e527e313f8c69b0d090168ea234c1d3dadf68012aef7711505c23"),
         ],
+        ids=["analyze-open", "analyze-closed", "formula-open", "oracle-open", "both-open",
+             "both-closed"],
     )
-    def test_report_layout_is_json_dumps(self, mode, neighborhood, d1_path, d2_path):
+    def test_report_layout_is_json_dumps(self, mode, neighborhood, sha256, d1_path, d2_path):
         from strongbounds import analyze_digraph, analyze_product
 
         doc1 = parse_edge_list(d1_path.read_text())
         doc2 = parse_edge_list(d2_path.read_text())
         if mode == "analyze":
-            report = analyze_digraph(doc2, path=str(d2_path), neighborhood=neighborhood)
+            report = analyze_digraph(doc2, path=d2_path.name, neighborhood=neighborhood)
         else:
             report = analyze_product(doc1, doc2, mode=mode, neighborhood=neighborhood)
-        assert report.to_json() == json.dumps(report.payload, indent=2) + "\n"
+        text = report.to_json()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    # sha256 of --pretty stdout, recorded before the payload's int sequences became ndarrays
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (("analyze", "example_d2.txt", "--pretty"),
+             "bc15b486ef4bbc9a6ebde615bf54a8c05613b3dec26a983c1237426a480bc04b"),
+            (("product", "example_d1.txt", "example_d2.txt", "--mode", "both", "--pretty"),
+             "e2606b6eb28244a85090a5de7a376b452ee555bc38135c82f9c5ff6e9edc5c44"),
+        ],
+        ids=["analyze", "product-both"],
+    )
+    def test_pretty_digest(self, capsys, monkeypatch, argv, sha256):
+        monkeypatch.chdir(DATA)  # the report names its input paths
+        assert main(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256

@@ -3,23 +3,34 @@
 `all_pairs_directed_dist` is one breadth-first search (BFS) from every source
 at once, in numpy only. Sources run in blocks of S rows of the distance table,
 and the frontier is every (source, vertex) cell first reached at the previous
-level. Each level expands it in whichever of two ways touches fewer cells
-(the direction-optimizing idea of Beamer, Asanovic & Patterson, SC 2012):
+level. Each level expands it in whichever of two directions touches fewer
+cells (the direction-optimizing idea of Beamer, Asanovic & Patterson, SC 2012):
 
-- sparse step: gather the frontier's out-arcs from the CSR rows, keep the
-  unreached cells and deduplicate them without sorting. Work is proportional
-  to the arcs leaving the frontier, so a BFS over all levels costs O(S·m) and
-  high-diameter sparse graphs stay cheap;
-- dense step: one S×n by n×n float32 product `frontier @ adjacency` through
-  BLAS, masked to the unreached cells. It costs S·n² multiply-adds however
-  large the frontier is, so low-diameter dense graphs take a few products.
+- sparse (push) step: gather the frontier's out-arcs from the CSR rows, keep
+  the unreached cells and deduplicate them without sorting. Work is
+  proportional to the arcs leaving the frontier, so a BFS over all levels
+  costs O(S·m) and high-diameter sparse graphs stay cheap;
+- pull step: every unreached cell asks whether an in-neighbour is in the
+  frontier. Its cost does not depend on the frontier, so low-diameter dense
+  graphs take a few of them. It runs in one of two forms, fixed per block:
+  - dense step: one S×n by n×n float32 product `frontier @ adjacency`
+    through BLAS, S·n² multiply-adds;
+  - bit step: the block's sources packed 64 to a uint64 word, as in
+    multi-source BFS (Then et al., PVLDB 2014), and each vertex ORs the
+    words of its in-neighbours: W·m word ORs for W = ⌈S/64⌉, plus packing
+    and unpacking the S·n block cells.
 
-The choice compares the frontier's out-arc count, weighted by `_DENSE_COST`
-(the measured cost of one gathered arc over one BLAS multiply-add), against
-the S·n² cells of a dense step. The dense adjacency is built only when a dense
-step first runs. The block size bounds every per-level array to about
-`_BLOCK_CELLS` entries, so beside the n×n int32 table and at most one n×n
-float32 adjacency the kernel's memory stays O(`_BLOCK_CELLS`).
+All costs are counted in BLAS multiply-adds: a sparse step's out-arc count
+weighs `_DENSE_COST` each, a bit step's W·m words and S·n cells `_BIT_COST`
+each. A block takes the cheaper pull form, and each level compares the sparse
+step against it: one cost comparison per level. Since a bit step costs at
+least `_BIT_COST`·S·n, graphs on at most `_BIT_COST` vertices always pull
+through BLAS, where the bit step's fixed numpy overheads would dominate.
+The dense adjacency is built only when a dense step first runs. The block size
+bounds every per-level array to about `_BLOCK_CELLS` entries, and a bit step
+gathers at most about `_GATHER_WORDS` words at once, so beside the n×n int32
+table and at most one n×n float32 adjacency the kernel's memory stays
+O(`_BLOCK_CELLS` + n).
 """
 
 from __future__ import annotations
@@ -31,6 +42,12 @@ _BLOCK_CELLS = 1 << 20
 # One gathered arc of a sparse step costs about this many dense multiply-adds:
 # about 30-40 ns against 0.02-0.04 ns on one x86 core with OpenBLAS sgemm.
 _DENSE_COST = 1024
+# One gathered word, or one packed and unpacked cell, of a bit step costs about
+# this many dense multiply-adds: about 1.5-3 ns on the same core, gathers and
+# reduceat included.
+_BIT_COST = 128
+# Frontier words a bit step gathers at once: 1 MB of uint64.
+_GATHER_WORDS = 1 << 17
 
 
 def _sparse_step(flat, keys, cols, counts, indptr, indices):
@@ -49,23 +66,50 @@ def _sparse_step(flat, keys, cols, counts, indptr, indices):
     return cand[flat[cand] == tag]
 
 
-def _dense_step(rows, keys, mask, adj):
-    """Unreached cells of the block one arc beyond the frontier, as a bool mask.
-
-    The frontier is the mask when there is one, or else the keys.
-    """
-    if mask is None:
-        front = np.zeros(rows.shape, dtype=np.float32)
-        front.reshape(-1)[keys] = 1.0
-    else:
-        front = mask.astype(np.float32)
-    reach = np.matmul(front, adj) > 0
+def _dense_step(rows, mask, adj):
+    """Unreached cells of the block one arc beyond the frontier mask, through BLAS."""
+    reach = np.matmul(mask.astype(np.float32), adj) > 0
     reach &= rows < 0
     return reach
 
 
-def all_pairs_directed_dist(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """Directed hop-count table from CSR out-rows; -1 where unreachable."""
+def _bit_step(rows, mask, in_indptr, in_indices):
+    """Unreached cells of the block one arc beyond the frontier mask, by word ORs.
+
+    The frontier packs into a (W, n) uint64 array, word w of column v holding
+    sources 64w..64w+63. Each vertex with an in-arc ORs the words of its in-CSR
+    segment; a vertex without one is left out, since `reduceat` would return a
+    word for its empty segment.
+    """
+    s, n = rows.shape
+    w = -(-s // 64)
+    bits = np.zeros((n, 8 * w), dtype=np.uint8)
+    bits[:, :-(-s // 8)] = np.packbits(np.ascontiguousarray(mask.T), axis=1, bitorder="little")
+    words = np.ascontiguousarray(bits.view(np.uint64).T)
+    heads = np.flatnonzero(in_indptr[1:] > in_indptr[:-1])
+    bounds = np.append(in_indptr[heads], in_indices.size)
+    pulled = np.zeros((n, w), dtype=np.uint64)
+    # chunks of heads whose in-arcs add up to about _GATHER_WORDS // w
+    cuts = np.searchsorted(bounds, np.arange(0, bounds[-1], max(1, _GATHER_WORDS // w)))
+    cuts = np.unique(np.append(cuts, heads.size)).tolist()
+    for a, b in zip(cuts, cuts[1:]):
+        lo = bounds[a]
+        gathered = words.take(in_indices[lo:bounds[b]], axis=1)
+        pulled[heads[a:b]] = np.bitwise_or.reduceat(gathered, bounds[a:b] - lo, axis=1).T
+    reach = np.unpackbits(pulled.view(np.uint8), axis=1, count=s, bitorder="little")
+    reach = np.ascontiguousarray(reach.view(bool).T)
+    reach &= rows < 0
+    return reach
+
+
+def all_pairs_directed_dist(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    in_indptr: np.ndarray,
+    in_indices: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Directed hop-count table from the out- and in-CSR; -1 where unreachable."""
     dist = np.full((n, n), -1, dtype=np.int32)
     deg = indptr[1:] - indptr[:-1]
     arc_cells = np.repeat(np.arange(0, n * n, n), deg) + indices
@@ -80,23 +124,31 @@ def all_pairs_directed_dist(indptr: np.ndarray, indices: np.ndarray, n: int) -> 
         mask = rows == 1  # the frontier: a bool block, or else the keys of its cells
         todo = np.count_nonzero(rows < 0)
         dense_cells = flat.size * n
+        bit_cells = _BIT_COST * (-(-rows.shape[0] // 64) * indices.size + flat.size)
+        pull_cells = min(dense_cells, bit_cells)
         level = 1
         while todo:
             level += 1
-            dense = dense_cells < _DENSE_COST  # tiny blocks skip counting arcs
-            if not dense:
+            pull = pull_cells < _DENSE_COST  # tiny blocks skip counting arcs
+            if not pull:
                 if mask is not None:
                     arcs = mask.sum(axis=0) @ deg
                 else:
                     cols = keys % n
                     counts = deg[cols]
                     arcs = counts.sum()
-                dense = arcs * _DENSE_COST > dense_cells
-            if dense:
-                if adj is None:
-                    adj = np.zeros((n, n), dtype=np.float32)
-                    adj.reshape(-1)[arc_cells] = 1.0
-                mask = _dense_step(rows, keys, mask, adj)
+                pull = arcs * _DENSE_COST > pull_cells
+            if pull:
+                if mask is None:
+                    mask = np.zeros(rows.shape, dtype=bool)
+                    mask.reshape(-1)[keys] = True
+                if bit_cells < dense_cells:
+                    mask = _bit_step(rows, mask, in_indptr, in_indices)
+                else:
+                    if adj is None:
+                        adj = np.zeros((n, n), dtype=np.float32)
+                        adj.reshape(-1)[arc_cells] = 1.0
+                    mask = _dense_step(rows, mask, adj)
                 found = np.count_nonzero(mask)
                 rows[mask] = level
             else:
@@ -112,4 +164,3 @@ def all_pairs_directed_dist(indptr: np.ndarray, indices: np.ndarray, n: int) -> 
                 break
             todo -= found
     return dist
-

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .digraph import Digraph, _bfs_levels
+from .digraph import Digraph, _bfs_levels, find_unreachable_pair
 from .errors import NotStrong, VertexOutOfRange
 
 UNREACHABLE = -1
@@ -52,17 +52,29 @@ def all_pairs_directed(d: Digraph) -> np.ndarray:
     NotStrong if any pair is unreachable, naming the first hole in row-major
     order: (0, x) for the least x that 0 cannot reach, else (u, 0) for the
     least u that cannot reach 0, the pair `find_unreachable_pair` gives.
+    A vertex without an out-arc or an in-arc is found from the degrees before
+    the n×n table is allocated.
     """
-    table = _kernels.all_pairs_directed_dist(d.out_indptr, d.out_indices, d.n)
+    out_ptr, in_ptr = d.out_indptr, d.in_indptr  # a repeated pointer is an empty row
+    if d.n > 1 and np.count_nonzero(out_ptr[1:] == out_ptr[:-1]) + np.count_nonzero(
+        in_ptr[1:] == in_ptr[:-1]
+    ):
+        raise _not_strong(find_unreachable_pair(d))
+    table = _kernels.all_pairs_directed_dist(
+        d.out_indptr, d.out_indices, d.in_indptr, d.in_indices, d.n
+    )
     holes = table == UNREACHABLE
     if holes.any():
-        pair = divmod(int(holes.argmax()), d.n)
-        raise NotStrong(
-            f"digraph is not strongly connected: no directed path {pair[0]} -> {pair[1]}",
-            pair=pair,
-        )
+        raise _not_strong(divmod(int(holes.argmax()), d.n))
     table.setflags(write=False)
     return table
+
+
+def _not_strong(pair: tuple[int, int]) -> NotStrong:
+    return NotStrong(
+        f"digraph is not strongly connected: no directed path {pair[0]} -> {pair[1]}",
+        pair=pair,
+    )
 
 
 def _check_pair(table: np.ndarray, u: int, v: int) -> None:

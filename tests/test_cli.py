@@ -1,12 +1,17 @@
 """End-to-end CLI behavior and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strongbounds
 from strongbounds.cli import main
@@ -27,6 +32,27 @@ def run_subprocess(*argv):
         [sys.executable, "-m", "strongbounds.cli", *argv],
         capture_output=True, text=True, env=env,
     )
+
+
+# A first line that is a header with n <= 64, or that no parse takes as one:
+# a body line can then never set n, so no input allocates past O(64^2).
+_HEADERS = st.one_of(
+    st.one_of(st.integers(1, 4), st.integers(-1, 64)).map(lambda k: b"n %d\n" % k),
+    st.sampled_from([b"n\n", b"n x\n", b"m 3\n", b"n 3 4\n", b"n +3\n", b"\xff\n", b"0 1\n"]),
+)
+_ENDPOINTS = st.one_of(st.integers(0, 3), st.integers(-1, 66))
+_LINES = st.one_of(
+    st.tuples(_ENDPOINTS, _ENDPOINTS).map(lambda ab: b"%d %d" % ab),
+    st.tuples(_ENDPOINTS, st.sampled_from([b"a", b"v#1", b""])).map(lambda t: b"name %d %s" % t),
+    st.sampled_from([b"", b"# note", b"n 3", b"1 2 3", b"-1 0", b"\t", b"1 \xe9", b"0 1\r1 0"]),
+    st.binary(max_size=8),
+)
+
+
+@st.composite
+def edge_list_bytes(draw):
+    """Raw bytes of an input file: a header line, then arbitrary body lines."""
+    return draw(_HEADERS) + b"\n".join(draw(st.lists(_LINES, max_size=40)))
 
 
 def assert_budget_error(proc):
@@ -120,6 +146,22 @@ class TestStrictInput:
     )
     def test_negative_seed_exit_2(self, argv):
         assert_usage_error(run_subprocess(*argv))
+
+    @settings(deadline=None)
+    @given(st.sampled_from(["analyze", "product"]), edge_list_bytes(), edge_list_bytes())
+    def test_raw_bytes_end_in_an_exit_code(self, command, data1, data2):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [Path(tmp, "d1.txt"), Path(tmp, "d2.txt")]
+            files[0].write_bytes(data1)
+            files[1].write_bytes(data2)
+            argv = [command, str(files[0])]
+            if command == "product":
+                argv += [str(files[1]), "--mode", "both"]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--out", str(Path(tmp, "out.json"))])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
     def test_non_ascii_byte_names_line(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

@@ -24,7 +24,10 @@ def _expected_dist(d):
 
 
 def _dist(d):
-    return _kernels.all_pairs_directed_dist(d.out_indptr, d.out_indices, d.n)
+    return _kernels.all_pairs_directed_dist(
+        d.out_indptr, d.out_indices, d.in_indptr, d.in_indices, d.n
+    )
+
 
 
 def _outer_max(a, b):
@@ -41,7 +44,7 @@ def _bidirected_path(n):
 def steps(monkeypatch):
     """Kinds of BFS step the kernel takes, in order."""
     taken = []
-    for kind in ("sparse", "dense"):
+    for kind in ("sparse", "dense", "bit"):
         original = getattr(_kernels, f"_{kind}_step")
 
         def record(*args, _kind=kind, _original=original):
@@ -95,7 +98,7 @@ class TestAllPairsBFS:
 
     def test_lollipop_switches_dense_to_sparse(self, steps):
         # a complete core with a bidirected tail: the early levels from the
-        # core are dense, the walk down the tail is sparse
+        # core pull (dense or bit), the walk down the tail is sparse
         core, tail = 30, 150
         n = core + tail
         arcs = [(a, b) for a in range(core) for b in range(core) if a != b]
@@ -104,15 +107,65 @@ class TestAllPairsBFS:
         d = from_arcs(n, arcs)
         expected = np.stack([directed_distances_from(d, s) for s in range(n)])
         assert np.array_equal(_dist(d), expected)
-        first_dense = steps.index("dense")
-        assert "sparse" in steps[first_dense:]
+        first_pull = min(steps.index(kind) for kind in ("dense", "bit") if kind in steps)
+        assert "sparse" in steps[first_pull:]
 
     def test_dense_product_is_outer_max_of_factors(self, steps):
-        g1 = generate_strong_digraph(GeneratorConfig(n=20, p=0.3, seed=11)).digraph
-        g2 = generate_strong_digraph(GeneratorConfig(n=15, p=0.4, seed=12)).digraph
+        # a near-complete 300-vertex product pulls through BLAS: a bit step
+        # would gather more words than the matrix product costs
+        g1 = generate_strong_digraph(GeneratorConfig(n=20, p=0.9, seed=11)).digraph
+        g2 = generate_strong_digraph(GeneratorConfig(n=15, p=0.9, seed=12)).digraph
         prod, _ = strong_product(g1, g2)
-        assert np.array_equal(_dist(prod), _outer_max(_dist(g1), _dist(g2)))
-        assert "dense" in steps
+        expected = _outer_max(_dist(g1), _dist(g2))
+        steps.clear()
+        assert np.array_equal(_dist(prod), expected)
+        assert set(steps) == {"dense"}
+
+    def test_bit_product_is_outer_max_of_factors(self, steps, monkeypatch):
+        # the oracle-route size: a 1 600-vertex product past the bit-step
+        # crossover, in several blocks of S sources with S no multiple of 8,
+        # so the last frontier word and byte are both partial
+        g1 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=21)).digraph
+        g2 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=22)).digraph
+        prod, _ = strong_product(g1, g2)
+        expected = _outer_max(_dist(g1), _dist(g2))
+        steps.clear()
+        sources = set()
+        bit_step = _kernels._bit_step
+
+        def sized_step(rows, *args):
+            sources.add(rows.shape[0])
+            return bit_step(rows, *args)
+
+        monkeypatch.setattr(_kernels, "_bit_step", sized_step)
+        assert np.array_equal(_dist(prod), expected)
+        assert "dense" not in steps
+        assert len(sources) == 2 and all(s % 8 for s in sources)
+
+    def test_bit_steps_skip_vertices_without_in_arcs(self, steps):
+        # vertex 0 and the last vertex have no in-arc: their in-CSR segments
+        # are empty, the last one at the very end of the in-arc array
+        n = 300
+        rng = np.random.default_rng(5)
+        adj = rng.random((n, n)) < 0.05
+        np.fill_diagonal(adj, False)
+        adj[:, [0, n - 1]] = False
+        d = from_arcs(n, np.argwhere(adj))
+        expected = np.stack([directed_distances_from(d, s) for s in range(n)])
+        assert np.array_equal(_dist(d), expected)
+        assert "bit" in steps
+
+    def test_no_bit_steps_at_verify_sizes(self, steps):
+        # a bit step costs at least _BIT_COST per block cell, a dense step n,
+        # so up to _BIT_COST vertices every pull goes through BLAS
+        assert _kernels._BIT_COST >= 49
+        for n, p in ((49, 0.05), (49, 0.2), (49, 0.7), (49, 1.0), (36, 0.4)):
+            d = generate_strong_digraph(GeneratorConfig(n=n, p=p, seed=3)).digraph
+            _dist(d)
+        g = generate_strong_digraph(GeneratorConfig(n=7, p=0.7, seed=4)).digraph
+        prod, _ = strong_product(g, g)
+        _dist(prod)
+        assert "dense" in steps and "bit" not in steps
 
 
 class TestBoundaryLanes:

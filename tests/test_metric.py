@@ -9,6 +9,7 @@ from strongbounds import (
     UNREACHABLE,
     NotStrong,
     VertexOutOfRange,
+    _kernels,
     all_pairs_directed,
     directed_distances_from,
     from_arcs,
@@ -63,6 +64,9 @@ class TestAllPairs:
             (3, [(0, 1), (1, 0)], (0, 2)),  # column-major order would give (2, 0)
             (4, [(0, 1), (1, 2), (2, 0), (0, 3)], (3, 0)),
             (4, [(1, 0), (2, 0), (3, 1), (3, 2)], (0, 1)),
+            # every vertex has an out-arc and an in-arc: the table shows the hole
+            (4, [(0, 1), (1, 0), (2, 3), (3, 2)], (0, 2)),
+            (4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], (2, 0)),
         ]
         for n, arcs, pair in cases:
             d = from_arcs(n, arcs)
@@ -70,13 +74,33 @@ class TestAllPairs:
                 all_pairs_directed(d)
             assert exc.value.pair == find_unreachable_pair(d) == pair
 
+    def test_missing_degree_allocates_no_table(self, monkeypatch):
+        # a vertex without an out-arc or an in-arc is seen on the CSR row
+        # pointers, so the n x n table is never built
+        def no_table(*args):
+            raise AssertionError("all-pairs kernel called")
+
+        monkeypatch.setattr(_kernels, "all_pairs_directed_dist", no_table)
+        cases = [
+            (2, [], (0, 1)),
+            (6, [], (0, 1)),
+            (3, [(0, 1), (1, 2), (2, 1)], (1, 0)),  # vertex 0 has no in-arc
+            (3, [(1, 0), (1, 2), (2, 1)], (0, 1)),  # vertex 0 has no out-arc
+            (4, [(0, 1), (1, 2), (2, 0), (0, 3)], (3, 0)),  # vertex 3 has no out-arc
+        ]
+        for n, arcs, pair in cases:
+            with pytest.raises(NotStrong) as exc:
+                all_pairs_directed(from_arcs(n, arcs))
+            assert exc.value.pair == pair
+
     @given(digraphs(max_n=8))
     def test_matches_floyd_warshall_oracle(self, d):
         fw = oracles.floyd_warshall(d.n, d.arcs)
         expected = [[-1 if x == oracles.INF else x for x in row] for row in fw]
         if any(-1 in row for row in expected):
-            with pytest.raises(NotStrong):
+            with pytest.raises(NotStrong) as exc:
                 all_pairs_directed(d)
+            assert exc.value.pair == find_unreachable_pair(d)
             got = [directed_distances_from(d, s).tolist() for s in range(d.n)]
             assert got == expected
         else:

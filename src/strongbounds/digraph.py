@@ -25,7 +25,11 @@ _MAX_KEYED_N = math.isqrt(2**63 - 1)
 def _keys_to_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of sorted distinct keys row*n + column."""
     indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int32)
-    indices = (keys % n).astype(np.int32)
+    # keys % n, in place through //: numpy divides int64 by a scalar ~4x faster than %
+    indices = keys // n
+    indices *= n
+    np.subtract(keys, indices, out=indices)
+    indices = indices.astype(np.int32)
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
@@ -139,10 +143,7 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
-    if n > _MAX_KEYED_N:
-        raise SizeOverflow(
-            f"{n} vertices exceed {_MAX_KEYED_N}, the most whose arc keys fit in int64"
-        )
+    _require_keyed(n)
     items = arcs if isinstance(arcs, np.ndarray) else list(arcs)
     try:
         pairs = np.asarray(items, dtype=np.int64)
@@ -168,13 +169,39 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
         if a == b:
             raise LoopArc(f"loop arc ({a},{a}) not allowed")
         raise ParallelArc(f"duplicate arc ({a},{b})")
-    in_keys = np.sort(heads * n + tails)
-    # Sort and drop repeats: np.union1d is ~40x slower on numpy 2's hash-based unique.
-    both = np.sort(np.concatenate((out_keys, in_keys)))
-    und_keys = np.concatenate((both[:1], both[1:][both[1:] != both[:-1]]))
-    return Digraph(
-        n, *_keys_to_csr(n, out_keys), *_keys_to_csr(n, in_keys), *_keys_to_csr(n, und_keys)
-    )
+    return _from_out_keys(n, out_keys)
+
+
+def _require_keyed(n: int) -> None:
+    """SizeOverflow unless the arc keys of an n-vertex digraph fit in int64."""
+    if n > _MAX_KEYED_N:
+        raise SizeOverflow(
+            f"{n} vertices exceed {_MAX_KEYED_N}, the most whose arc keys fit in int64"
+        )
+
+
+def _from_out_keys(n: int, out_keys: np.ndarray) -> Digraph:
+    """Digraph of sorted distinct int64 arc keys tail*n + head, none a loop.
+
+    Nothing is checked here: `from_arcs` validates its arcs first, and
+    `strong_product` proves its keys valid. The in-keys head*n + tail take one
+    sort; the undirected keys merge the two sorted arrays and drop repeats.
+    """
+    tails = out_keys // n
+    in_keys = np.sort((out_keys - tails * n) * n + tails)
+    del tails  # on a product each key array takes MBs: free each once used
+    out_csr, in_csr = _keys_to_csr(n, out_keys), _keys_to_csr(n, in_keys)
+    # Two sorted runs: numpy's stable sort (timsort on int64) merges them in
+    # one linear pass, where np.union1d's hash-based unique is ~40x slower.
+    both = np.concatenate((out_keys, in_keys))
+    del in_keys
+    both.sort(kind="stable")
+    first = np.empty(both.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(both[1:], both[:-1], out=first[1:])
+    und_keys = both[first]
+    del both, first
+    return Digraph(n, *out_csr, *in_csr, *_keys_to_csr(n, und_keys))
 
 
 def _adjacency_is_strong(adj: np.ndarray) -> bool:

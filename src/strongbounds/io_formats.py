@@ -11,8 +11,10 @@ Edge-list format (ASCII, LF, trailing newline optional):
 Every number is a run of ASCII digits ``[0-9]+``. The header line
 ``n <count>`` must precede arcs and names. Arc lines are
 ``<tail> <head>``; optional ``name <id> <label>`` lines attach display labels
-used only in reports and exports. Serialization sorts everything, so parse and
-serialize round-trip byte-identically.
+used only in reports and exports. A vertex takes at most one label, no label
+is given twice, and none spells the id of an unnamed vertex (which shows as
+its id), so no two vertices display alike. Serialization sorts everything, so
+parse and serialize round-trip byte-identically.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ def parse_edge_list(text: str) -> EdgeListDocument:
     arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     labels: dict[int, str] = {}
+    named: dict[str, tuple[int, int]] = {}  # label -> (id, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,7 +83,13 @@ def parse_edge_list(text: str) -> EdgeListDocument:
                 raise ParseError(lineno, f"name id is not an integer: {parts[1]!r}") from None
             if not 0 <= v < n:
                 raise VertexOutOfRange(f"line {lineno}: name id {v} not in 0..{n - 1}")
-            labels[v] = parts[2]
+            label = parts[2]
+            if v in labels:
+                raise ParseError(lineno, f"vertex {v} is already named {labels[v]!r}")
+            if label in named:
+                raise ParseError(lineno, f"label {label!r} already names vertex {named[label][0]}")
+            labels[v] = label
+            named[label] = (v, lineno)
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"expected '<tail> <head>', got {raw.strip()!r}")
@@ -99,6 +108,12 @@ def parse_edge_list(text: str) -> EdgeListDocument:
 
     if n is None:
         raise ParseError(1, "missing header line 'n <count>'")
+    # An unnamed vertex shows as its id, so no label may spell the id of one.
+    for label, (v, lineno) in named.items():
+        if label.isascii() and label.isdigit() and len(label) <= len(str(n)):
+            u = int(label)
+            if str(u) == label and u < n and u not in labels:
+                raise ParseError(lineno, f"label {label!r} of vertex {v} is the id of vertex {u}")
     return EdgeListDocument(digraph=from_arcs(n, arcs), labels=labels)
 
 
@@ -135,7 +150,8 @@ def export_dot(
     labels = labels or {}
 
     def node_id(v: int) -> str:
-        return '"%s"' % labels.get(v, str(v))
+        label = labels.get(v, str(v))
+        return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = [f"digraph {graph_name} {{"]
     if highlight_name:

@@ -2,7 +2,10 @@
 
 Two independent routes exist on purpose. `strong_product` materializes the
 product digraph (budget-guarded) so the definition-level machinery in
-`metric`/`boundary` can run on it directly. The `*_via_factors` operations
+`metric`/`boundary` can run on it directly. It forms the product's arc keys
+from the factors' closed arcs and assembles the CSR from them directly,
+skipping `from_arcs`' checks, which the keys meet by construction (its
+docstring proves it). The `*_via_factors` operations
 never build the product: they evaluate closed-form factor characterizations of
 the four sets on factor profiles alone, in O(n1·n2). The periphery and
 eccentricity-set formulas are exact. The paper's stated boundary and contour
@@ -30,7 +33,7 @@ from .boundary import (
     _worst_columns,
     boundary_profile,
 )
-from .digraph import Digraph, from_arcs
+from .digraph import Digraph, _from_out_keys, _require_keyed
 from .errors import NotStrong, SizeOverflow, VertexOutOfRange
 from .metric import MetricProfile, metric_profile
 
@@ -111,26 +114,40 @@ def strong_product(
 
     ((i,r),(j,s)) is an arc iff (i,j) is an arc with r=s, or i=j with (r,s) an
     arc, or both coordinates step along arcs simultaneously: the adjacency is
-    (A1+I) ⊗ (A2+I) - I, every closed arc (arc or self-pair) of D1 combined
-    with every closed arc of D2, less the n1·n2 loops. Strongness is not
-    required for construction.
+    (A1+I) ⊗ (A2+I) - I, every closed arc (arc or self-pair) (i,j) of D1
+    combined with every closed arc (r,s) of D2, less the n1·n2 loops.
+    Strongness is not required for construction.
+
+    The arc keys x*n + y, with x = i*n2 + r and y = j*n2 + s, come from one
+    broadcast add and one sort, and go to the CSR assembly unchecked. Proof
+    that they are valid: x and y lie in 0..n-1, so every key lies in
+    0..n²-1, which fits in int64 once `_require_keyed` passes; x = y iff
+    i = j and r = s, and exactly those self-pair combinations are dropped,
+    so no key is a loop; and (i, j, r, s) -> (x, y) -> x*n + y is injective,
+    so keys from distinct pairs of distinct closed arcs are distinct.
     """
     n = product_vertex_count(d1, d2)
     if n > budget:
         raise SizeOverflow(
             f"product on {d1.n}*{d2.n}={n} vertices exceeds the budget of {budget}"
         )
-    rows = _closed_arcs(d1) * d2.n
-    cols = _closed_arcs(d2)
-    pairs = (rows[:, None, :] + cols[None, :, :]).reshape(-1, 2)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    return from_arcs(n, pairs), ProductLabel(d1.n, d2.n)
+    _require_keyed(n)
+    i, j = _closed_arc_ends(d1)
+    r, s = _closed_arc_ends(d2)
+    keys = ((i * n + j) * d2.n)[:, None] + (r * n + s)[None, :]
+    keys = keys[(i != j)[:, None] | (r != s)[None, :]]
+    # Each row of the broadcast is a sorted run, which timsort (the stable kind) merges.
+    keys.sort(kind="stable")
+    return _from_out_keys(n, keys), ProductLabel(d1.n, d2.n)
 
 
-def _closed_arcs(d: Digraph) -> np.ndarray:
-    """(tail, head) rows of the arcs of d followed by its n self-pairs."""
-    loops = np.repeat(np.arange(d.n), 2).reshape(-1, 2)
-    return np.concatenate((d._arc_array(), loops))
+def _closed_arc_ends(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """(tails, heads) of the closed arcs of d, its arcs and its n self-pairs, by key."""
+    n = d.n
+    tails = np.repeat(np.arange(n), np.diff(d.out_indptr))
+    keys = np.concatenate((tails * n + d.out_indices, np.arange(n) * (n + 1)))
+    keys.sort()
+    return np.divmod(keys, n)
 
 
 def product_distance(f: FactorPair, a: tuple[int, int], b: tuple[int, int]) -> int:

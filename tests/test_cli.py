@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -313,6 +314,21 @@ class TestExport:
         code, _, err = run(capsys, "export", str(f), "--set", "boundary")
         assert code == 3
         assert "0 -> 2" in err
+
+    def test_quoted_label_gives_valid_dot(self, capsys, tmp_path):
+        f = tmp_path / "quote.txt"
+        f.write_text('n 2\nname 0 a"b\nname 1 c\\\n0 1\n1 0\n')
+        code, out, _ = run(capsys, "export", str(f))
+        assert code == 0
+        assert '  "a\\"b" -> "c\\\\";' in out
+        assert all(re.sub(r"\\.", "", line).count('"') % 2 == 0 for line in out.splitlines())
+
+    def test_shared_label_exit_2_names_line(self, capsys, tmp_path):
+        f = tmp_path / "shared.txt"
+        f.write_text("n 3\nname 1 x\nname 2 x\n1 2\n")
+        code, out, err = run(capsys, "export", str(f))
+        assert code == 2 and out == ""
+        assert err == "error: line 3: label 'x' already names vertex 1\n"
 
     def test_unknown_set_exit_2(self, capsys, d1_path):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ class TestParse:
         with pytest.raises(VertexOutOfRange):
             parse_edge_list("n 2\nname 5 x\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n 3\nname 1 x\n0 1\nname 1 y\n", 4),  # a second name for vertex 1
+            ("n 3\nname 1 x\nname 2 x\n1 2\n", 3),  # a label given twice
+            ("n 3\nname 0 2\n0 1\n", 2),  # the id an unnamed vertex shows as
+        ],
+        ids=["renamed-id", "shared-label", "label-is-unnamed-id"],
+    )
+    def test_labels_name_one_vertex_each(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "text", ["n 3\nname 0 1\nname 1 0\n", "n 3\nname 0 01\n", "n 3\nname 2 2\n"]
+    )
+    def test_labels_that_show_once_are_kept(self, text):
+        assert len(parse_edge_list(text).labels) == text.count("name")
+
 
 class TestRoundTrip:
     @given(digraphs(max_n=7))
@@ -154,6 +175,25 @@ class TestDot:
         assert '"u3" [style=filled, fillcolor=lightblue];' in text
         assert '"u2";' in text
         assert '"u1" -> "u2";' in text
+
+    def test_example_d1_bytes(self, d1):
+        # Recorded before labels were escaped: plain labels print as they did.
+        text = export_dot(d1, labels={0: "u1", 1: "u2", 2: "u3"})
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ad90ee034630ab0649d25140bd6bee19150ac2ab34a7be922f781f661fdef6d9"
+        )
+
+    @pytest.mark.parametrize(
+        "label, quoted",
+        [('a"b', r'"a\"b"'), ("c\\", r'"c\\"'), ('\\"', r'"\\\""'), ('""', r'"\"\""')],
+    )
+    def test_quote_and_backslash_are_escaped(self, label, quoted):
+        d = from_arcs(2, [(0, 1), (1, 0)])
+        text = export_dot(d, labels={0: label})
+        assert f'  {quoted} -> "1";' in text
+        for line in text.splitlines():
+            # Without its escape pairs every line holds whole quoted ids.
+            assert re.sub(r"\\.", "", line).count('"') % 2 == 0, line
 
     def test_product_arc_count(self, d1, d2):
         from strongbounds import strong_product

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import strongbounds
 from strongbounds import (
     FactorPair,
     ProductLabel,
@@ -40,6 +41,8 @@ from strongbounds import (
     swap_product_set,
     undirected_formula_counterexample,
 )
+from strongbounds import digraph as digraph_mod
+from strongbounds import product as product_mod
 from strongbounds.product import _witness_reach
 from conftest import (
     CE_BOUNDARY_D1,
@@ -55,6 +58,7 @@ from strategies import bidirected_strong_digraphs, digraphs, strong_digraphs
 
 ALL15 = frozenset(range(15))
 CYCLE3 = [(0, 1), (1, 2), (2, 0)]
+CSR_FIELDS = ("out_indptr", "out_indices", "in_indptr", "in_indices", "und_indptr", "und_indices")
 
 
 def small_factor_pairs():
@@ -124,6 +128,52 @@ class TestConstruction:
         prod, _ = strong_product(a, b)
         assert prod.arcs == oracles.strong_product_arcs(a.n, a.arcs, b.n, b.arcs)
         assert prod.arc_count == product_arc_count(a, b)
+
+    @settings(max_examples=60)
+    @given(digraphs(max_n=5), digraphs(max_n=5))
+    @example(from_arcs(1, []), from_arcs(1, []))
+    @example(from_arcs(1, []), from_arcs(3, CYCLE3))
+    @example(from_arcs(3, CYCLE3), from_arcs(1, []))
+    @example(from_arcs(1, []), from_arcs(4, []))
+    def test_arrays_match_from_arcs_of_oracle_rules(self, a, b):
+        # The product's keys skip from_arcs' checks; its six CSR arrays must
+        # still be exactly those from_arcs builds from the oracle's arc set,
+        # and hold the oracle's out-, in- and undirected rows.
+        prod, _ = strong_product(a, b)
+        arcs = oracles.strong_product_arcs(a.n, a.arcs, b.n, b.arcs)
+        ref = from_arcs(prod.n, sorted(arcs))
+        for name in CSR_FIELDS:
+            got, want = getattr(prod, name), getattr(ref, name)
+            assert got.dtype == want.dtype == np.int32, name
+            assert not got.flags.writeable and not want.flags.writeable, name
+            assert np.array_equal(got, want), name
+        back = {(y, x) for x, y in arcs}
+        for kind, pairs in (("out", arcs), ("in", back), ("und", arcs | back)):
+            rows = [sorted(y for x, y in pairs if x == v) for v in range(prod.n)]
+            indptr = getattr(prod, f"{kind}_indptr")
+            assert indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist(), kind
+            assert getattr(prod, f"{kind}_indices").tolist() == sum(rows, []), kind
+
+    def test_never_calls_from_arcs(self, monkeypatch, d1, d2):
+        def refuse(*args):
+            raise AssertionError("strong_product called from_arcs")
+
+        monkeypatch.setattr(strongbounds, "from_arcs", refuse)
+        monkeypatch.setattr(digraph_mod, "from_arcs", refuse)
+        monkeypatch.setattr(product_mod, "from_arcs", refuse, raising=False)
+        prod, _ = strong_product(d1, d2)
+        assert prod.arcs == oracles.strong_product_arcs(d1.n, d1.arcs, d2.n, d2.arcs)
+
+    @pytest.mark.parametrize("n, budget", [(4, 15), (60_000, 10**10)], ids=["budget", "int64-keys"])
+    def test_size_overflow_before_any_key_array(self, monkeypatch, n, budget):
+        # 60 000² vertices are within the budget, but their keys overflow int64.
+        def refuse(d):
+            raise AssertionError("key array built")
+
+        monkeypatch.setattr(product_mod, "_closed_arc_ends", refuse)
+        d = from_arcs(n, [])
+        with pytest.raises(SizeOverflow):
+            strong_product(d, d, budget=budget)
 
 
 class TestProductLabel:

@@ -34,24 +34,35 @@ def _check_neighborhood(neighborhood: str) -> None:
 
 
 def _neighbor_csr(d: Digraph, neighborhood: str) -> tuple[np.ndarray, np.ndarray]:
-    """CSR neighbor rows, with v prepended to its own row for the closed form."""
+    """CSR neighbor rows, with v prepended to its own row for the closed form.
+
+    Row v of the closed form starts at und_indptr[v] + v and holds v there;
+    the other slots take the open rows' entries in order, through one
+    boolean scatter.
+    """
     if neighborhood == "open":
         return d.und_indptr, d.und_indices
-    indptr = (d.und_indptr + np.arange(d.n + 1)).astype(np.int32)
-    return indptr, np.insert(d.und_indices, d.und_indptr[:-1], np.arange(d.n))
+    indptr = d.und_indptr + np.arange(d.n + 1, dtype=np.int32)
+    own = np.zeros(indptr[-1], dtype=bool)
+    own[indptr[:-1]] = True
+    indices = np.empty(own.size, dtype=d.und_indices.dtype)
+    indices[~own] = d.und_indices
+    indices[own] = np.arange(d.n)
+    return indptr, indices
 
 
 def _segment_max(gathered: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Max over each CSR row's slice of gathered; -1 for an empty row.
 
     gathered holds one value per CSR column entry (a value looked up at each
-    neighbor), so the result has one entry per vertex.
+    neighbor), each at least -1, so the result has one entry per vertex. A -1
+    sentinel after the last entry gives every row start a valid index, so one
+    reduceat covers all rows; an empty row's start holds the next row's
+    first value (or the sentinel), and is reset to -1.
     """
-    counts = np.diff(indptr)
-    out = np.full(counts.shape, -1, dtype=np.int64)
-    nonempty = counts > 0
-    if nonempty.any():
-        out[nonempty] = np.maximum.reduceat(gathered, indptr[:-1][nonempty])
+    starts = indptr[:-1]
+    out = np.maximum.reduceat(np.concatenate((gathered, [-1])), starts)
+    out[starts == indptr[1:]] = -1
     return out
 
 

@@ -184,8 +184,9 @@ def _from_out_keys(n: int, out_keys: np.ndarray) -> Digraph:
     """Digraph of sorted distinct int64 arc keys tail*n + head, none a loop.
 
     Nothing is checked here: `from_arcs` validates its arcs first, and
-    `strong_product` proves its keys valid. The in-keys head*n + tail take one
-    sort; the undirected keys merge the two sorted arrays and drop repeats.
+    `strong_product`, the generator and the minimizer prove their keys valid.
+    The in-keys head*n + tail take one sort; the undirected keys merge the two
+    sorted arrays and drop repeats.
     """
     tails = out_keys // n
     in_keys = np.sort((out_keys - tails * n) * n + tails)

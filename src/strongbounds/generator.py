@@ -1,4 +1,14 @@
-"""Reproducible random strong digraphs for tests and the verify harness."""
+"""Reproducible random strong digraphs for tests and the verify harness.
+
+A factor's attempts are drawn in chunks, one ``rng.random((b, n, n))`` call
+per chunk of b attempts, with b chosen so a chunk holds at most
+``_DRAW_CELLS`` cells (one attempt per call once two no longer fit, so a
+large draw takes no more memory than one attempt needs). PCG64 fills a
+``(b, n, n)`` request in C order, value for value as b successive ``(n, n)``
+requests, so attempt k sees the same draw whatever the chunking: the kept
+draw, ``attempts`` and ``augmented`` do not depend on it. Values drawn past
+the kept attempt are never used, and the generator is discarded with them.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, _adjacency_is_strong, from_arcs
+from .digraph import Digraph, _adjacency_is_strong, _from_out_keys
 from .errors import InvalidConfig, SizeOverflow
 
 # numpy cannot even describe an array of 2**63 bytes or more; an n x n float64
 # draw beyond this n raises ValueError rather than MemoryError.
 _MAX_DRAW_N = math.isqrt((2**63 - 1) // 8)
+# Cells per chunk of attempts: 128 KiB of float64, every verify factor's
+# attempts in one call.
+_DRAW_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -50,23 +63,47 @@ def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
     built into a Digraph. After max_retries failed resamples, the directed
     Hamiltonian cycle 0->1->...->n-1->0 is added to the last sample; the
     augmentation is reported so experiments can filter such samples.
+
+    Each chunk of draws is screened at once: a draw with n > 1 in which some
+    vertex lacks an out-arc or an in-arc is not strong, and only the draws
+    that pass run the full test, in attempt order.
+
+    The kept draw's arc keys are its row-major flat indices tail*n + head,
+    which is what `_from_out_keys` takes. np.flatnonzero lists them in
+    ascending order, and a flat index names one cell, so they are sorted and
+    distinct. The diagonal is cleared after the draw and the cycle adds only
+    v -> (v + 1) % n with n > 1, so none is a loop. n <= _MAX_DRAW_N, far
+    below the int64 key limit, so every key fits.
     """
     cfg.validate()
-    if cfg.n > _MAX_DRAW_N:
+    n = cfg.n
+    if n > _MAX_DRAW_N:
         raise SizeOverflow(
-            f"n={cfg.n} exceeds {_MAX_DRAW_N}: the n x n float64 draw needs 2**63 bytes or more"
+            f"n={n} exceeds {_MAX_DRAW_N}: the n x n float64 draw needs 2**63 bytes or more"
         )
     rng = np.random.default_rng(cfg.seed)
-    for attempts in range(1, cfg.max_retries + 2):
-        draw = rng.random((cfg.n, cfg.n)) < cfg.p
-        np.fill_diagonal(draw, False)
-        if _adjacency_is_strong(draw):
-            augmented = False
-            break
-    else:
-        augmented = True
-        if cfg.n > 1:
-            v = np.arange(cfg.n)
-            draw[v, (v + 1) % cfg.n] = True
-    d = from_arcs(cfg.n, np.argwhere(draw))
+    tries = cfg.max_retries + 1
+    chunk = max(1, min(tries, _DRAW_CELLS // (n * n)))
+    attempts, kept = 0, None
+    while kept is None and attempts < tries:
+        b = min(chunk, tries - attempts)
+        # a lone attempt asks for (n, n), as an out-of-memory diagnostic shows
+        draws = (rng.random((b, n, n) if b > 1 else (n, n)) < cfg.p).reshape(b, n, n)
+        draws.reshape(b, n * n)[:, :: n + 1] = False
+        # n = 1 passes: its one vertex needs no arc to be strong
+        screened = (draws.any(axis=2) & draws.any(axis=1)).all(axis=1) | (n == 1)
+        for i in np.flatnonzero(screened).tolist():
+            if _adjacency_is_strong(draws[i]):
+                kept = draws[i]
+                attempts += i + 1
+                break
+        else:
+            attempts += b
+    augmented = kept is None
+    if augmented:
+        kept = draws[-1]
+        if n > 1:
+            v = np.arange(n)
+            kept[v, (v + 1) % n] = True
+    d = _from_out_keys(n, np.flatnonzero(kept))
     return GeneratedDigraph(digraph=d, config=cfg, attempts=attempts, augmented=augmented)

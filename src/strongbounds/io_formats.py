@@ -127,7 +127,7 @@ def serialize_edge_list(
     lines.append(f"n {d.n}")
     for v in sorted(labels or {}):
         lines.append(f"name {v} {labels[v]}")
-    for a, b in sorted(d.arcs):
+    for a, b in d._arc_array().tolist():  # out-CSR order: ascending (tail, head)
         lines.append(f"{a} {b}")
     return "\n".join(lines) + "\n"
 
@@ -160,7 +160,7 @@ def export_dot(
     for v in range(d.n):
         attrs = " [style=filled, fillcolor=lightblue]" if highlight and v in highlight else ""
         lines.append(f"  {node_id(v)}{attrs};")
-    for a, b in sorted(d.arcs):
+    for a, b in d._arc_array().tolist():
         lines.append(f"  {node_id(a)} -> {node_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import boundary_profile, boundary_set, contour_set
-from .digraph import Digraph, _adjacency_is_strong, from_arcs
+from .digraph import Digraph, _adjacency_is_strong, _from_out_keys
 from .errors import InvalidConfig, SizeOverflow
 from .generator import GeneratorConfig, generate_strong_digraph
 from .metric import metric_profile
@@ -166,7 +166,11 @@ def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
 
     Each pass tries the arcs of da in ascending (tail, head) order, deleting
     one at a time from an adjacency matrix of the arcs kept so far; only a
-    strong candidate is built into a Digraph and checked.
+    strong candidate is built into a Digraph and checked. A candidate's arc
+    keys are the row-major flat indices tail*n + head of its matrix, which
+    np.flatnonzero lists sorted and distinct; the matrix holds arcs of a
+    Digraph only, so none is a loop, and `_from_out_keys` takes them as they
+    are.
     """
     def shrink(da: Digraph, db: Digraph, first: bool) -> tuple[Digraph, Digraph]:
         changed = True
@@ -178,7 +182,7 @@ def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
             for tail, head in rows.tolist():
                 adj[tail, head] = False
                 if _adjacency_is_strong(adj):
-                    trimmed = from_arcs(da.n, np.argwhere(adj))
+                    trimmed = _from_out_keys(da.n, np.flatnonzero(adj))
                     cand = (trimmed, db) if first else (db, trimmed)
                     if _check_trial(cand[0], cand[1], (prop,))[prop] is not None:
                         da = trimmed

@@ -1,12 +1,15 @@
 """Independent definition-level oracles for cross-checking the library.
 
-Everything here is deliberately plain Python over (n, arcs) data: no numpy,
-no package internals, different algorithms where possible (Floyd-Warshall
-instead of BFS, transitive closure instead of dual BFS). Expected values in
-the test modules were frozen from these.
+Everything here is deliberately plain Python over (n, arcs) data: no package
+internals, different algorithms where possible (Floyd-Warshall instead of BFS,
+transitive closure instead of dual BFS). numpy appears only as the source of
+the PCG64 stream that `generate_one_draw_per_attempt` replays. Expected values
+in the test modules were frozen from these.
 """
 
 from itertools import product as iproduct
+
+import numpy as np
 
 INF = float("inf")
 
@@ -100,3 +103,41 @@ def strong_product_arcs(n1, arcs1, n2, arcs2):
     for (i, j), (r, s) in iproduct(arcs1, arcs2):
         out.add((i * n2 + r, j * n2 + s))
     return out
+
+
+def strong_by_search(n, arcs):
+    """Every vertex reaches vertex 0 and is reached from it, by set-based search.
+
+    O(n * m) per call, where strong_by_closure's Floyd-Warshall is O(n^3):
+    the generator reference tests up to 26 draws of 40 vertices per example.
+    """
+    for step in (arcs, {(b, a) for a, b in arcs}):
+        seen, todo = {0}, [0]
+        while todo:
+            u = todo.pop()
+            for a, b in step:
+                if a == u and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        if len(seen) < n:
+            return False
+    return True
+
+
+def generate_one_draw_per_attempt(n, p, seed, max_retries):
+    """(arcs, attempts, augmented) of the generator, one (n, n) draw per attempt.
+
+    Attempt k takes the next n*n values of the seed's PCG64 stream, keeps the
+    cells below p off the diagonal, and stops at the first strong draw; after
+    max_retries failed resamples the cycle 0->1->...->n-1->0 joins the last
+    draw.
+    """
+    rng = np.random.default_rng(seed)
+    for attempts in range(1, max_retries + 2):
+        draw = (rng.random((n, n)) < p).tolist()
+        arcs = {(a, b) for a in range(n) for b in range(n) if a != b and draw[a][b]}
+        if strong_by_search(n, arcs):
+            return arcs, attempts, False
+    if n > 1:
+        arcs |= {(v, (v + 1) % n) for v in range(n)}
+    return arcs, attempts, True

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,7 +18,12 @@ from strongbounds import (
     metric_profile,
     periphery_set,
 )
-from strongbounds.boundary import NEIGHBORHOODS, _boundary_witnesses
+from strongbounds.boundary import (
+    NEIGHBORHOODS,
+    _boundary_witnesses,
+    _neighbor_csr,
+    _segment_max,
+)
 from strategies import digraphs, strong_digraphs
 
 CYCLE5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -168,6 +173,49 @@ class TestWitnesses:
         visited = record_fallback(monkeypatch)
         assert boundary_set(metric_profile(d), d) == {0, 29}
         assert visited == list(range(1, 29))
+
+
+def csr_of_rows(rows):
+    """(indptr, indices) laying the given rows out one after another."""
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+    return indptr, np.array([x for r in rows for x in r], dtype=np.int64)
+
+
+# isolated vertices 0, 2 and 4: empty first, middle and last neighbour rows
+GAPPED = from_arcs(5, [(1, 3), (3, 1)])
+
+
+class TestNeighbourhoodReductions:
+    """_segment_max and the closed _neighbor_csr against plain-Python rows."""
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.integers(-1, 40), max_size=4), min_size=1, max_size=8))
+    @example([[], [3, 7], [], [], [0, -1, 5], []])
+    @example([[], [], []])
+    @example([[4]])
+    def test_segment_max(self, rows):
+        indptr, gathered = csr_of_rows(rows)
+        expected = [max(r, default=-1) for r in rows]
+        assert _segment_max(gathered, indptr).tolist() == expected
+
+    @settings(max_examples=100)
+    @given(digraphs(max_n=7), st.sampled_from(NEIGHBORHOODS))
+    @example(GAPPED, "closed")
+    @example(GAPPED, "open")
+    @example(from_arcs(1, []), "closed")
+    @example(from_arcs(1, []), "open")
+    def test_neighbor_csr_layout(self, d, neighborhood):
+        own = [[v] if neighborhood == "closed" else [] for v in range(d.n)]
+        rows = [own[v] + sorted(d.neighbors(v)) for v in range(d.n)]
+        indptr, indices = _neighbor_csr(d, neighborhood)
+        expected_ptr, expected_idx = csr_of_rows(rows)
+        assert indptr.tolist() == expected_ptr.tolist()
+        assert indices.tolist() == expected_idx.tolist()
+
+    @pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
+    def test_one_vertex(self, k1, neighborhood):
+        indptr, indices = _neighbor_csr(k1, neighborhood)
+        assert _segment_max(indices, indptr).tolist() == [0 if neighborhood == "closed" else -1]
 
 
 class TestProperties:

@@ -3,7 +3,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import strongbounds.generator as generator_mod
 from strongbounds import (
     GeneratorConfig,
@@ -15,6 +18,7 @@ from strongbounds import (
     serialize_edge_list,
 )
 from strongbounds.cli import main
+from strongbounds.digraph import _from_out_keys
 
 
 class TestValidation:
@@ -92,22 +96,41 @@ class TestConstruction:
     def test_one_from_arcs_call_per_digraph(self, monkeypatch, cfg):
         calls = []
 
-        def counting_from_arcs(n, arcs):
+        def counting_from_out_keys(n, keys):
             calls.append(n)
-            return from_arcs(n, arcs)
+            return _from_out_keys(n, keys)
 
-        monkeypatch.setattr(generator_mod, "from_arcs", counting_from_arcs)
+        monkeypatch.setattr(generator_mod, "_from_out_keys", counting_from_out_keys)
         out = generate_strong_digraph(cfg)
         assert calls == [cfg.n]
         assert is_strong(out.digraph)
+
+
+class TestChunkedDraws:
+    """Drawing attempts in chunks keeps every attempt's draw, so every result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.25), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        max_retries=st.integers(0, 25),
+    )
+    def test_matches_one_draw_per_attempt(self, n, p, seed, max_retries):
+        out = generate_strong_digraph(GeneratorConfig(n=n, p=p, seed=seed, max_retries=max_retries))
+        arcs, attempts, augmented = oracles.generate_one_draw_per_attempt(n, p, seed, max_retries)
+        assert out.digraph == from_arcs(n, sorted(arcs))
+        assert (out.attempts, out.augmented) == (attempts, augmented)
 
 
 class TestGoldenOutput:
     """gen stdout is pinned byte for byte.
 
     The digests were recorded when each rejected draw was still built into a
-    Digraph and tested with is_strong; testing the draw itself must not move
-    the RNG stream or the kept sample.
+    Digraph and tested with is_strong, and the n30 ones when every attempt
+    was still its own (n, n) draw: testing the draw itself, and drawing
+    attempts in chunks (18 to a chunk at n = 30), must not move the RNG
+    stream or the kept sample.
     """
 
     @pytest.mark.parametrize(
@@ -123,8 +146,13 @@ class TestGoldenOutput:
              "d57e785969dc7bb20dc9d3df4db5598529e0f3d51173a7fc31dbd48df33fc3ad"),
             (("--n", "300", "--p", "0.01", "--seed", "2"),
              "c3d0001f038a3b0c26e4dbbaf6e5cf59105944a262e72c1042a629d1b44db626"),
+            (("--n", "30", "--p", "0.05", "--seed", "1"),
+             "b72ebe6f65032c9f531916bb24a766b73b1c89eb5801f3bbdab0b7f06a7f19fb"),
+            (("--n", "30", "--p", "0.1", "--seed", "18"),
+             "29f2ed67392464c2f1904a6444ac1774683b89eb59b15553b7d8d4a2fd1fd499"),
         ],
-        ids=["n1", "n2-augmented", "n7-augmented", "n6-eighth-attempt", "n300-augmented"],
+        ids=["n1", "n2-augmented", "n7-augmented", "n6-eighth-attempt", "n300-augmented",
+             "n30-augmented", "n30-nineteenth-attempt"],
     )
     def test_stdout_digest(self, capsys, argv, sha256):
         assert main(["gen", *argv]) == 0

@@ -8,6 +8,7 @@ import oracles
 import strongbounds.verify as verify_mod
 from strongbounds import InvalidConfig, from_arcs, is_strong, parse_edge_list, strong_product
 from strongbounds.cli import EXIT_VIOLATION, main
+from strongbounds.digraph import _from_out_keys
 from strongbounds.verify import PROPERTIES, _check_trial, _minimize, run_verification
 from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2
 
@@ -139,12 +140,12 @@ class TestMinimizer:
         [(a, b, prop)] = record_failures(monkeypatch, trials=12, seed=0, limit=1)
         built = []
 
-        def recording_from_arcs(n, arcs):
-            d = from_arcs(n, arcs)
+        def recording_from_out_keys(n, keys):
+            d = _from_out_keys(n, keys)
             built.append(d)
             return d
 
-        monkeypatch.setattr(verify_mod, "from_arcs", recording_from_arcs)
+        monkeypatch.setattr(verify_mod, "_from_out_keys", recording_from_out_keys)
         _minimize(a, b, prop)
         candidates = a.arc_count + b.arc_count  # the first pass over each factor alone
         assert 0 < len(built) < candidates

@@ -6,10 +6,21 @@ and the frontier is every (source, vertex) cell first reached at the previous
 level. Each level expands it in whichever of two directions touches fewer
 cells (the direction-optimizing idea of Beamer, Asanovic & Patterson, SC 2012):
 
-- sparse (push) step: gather the frontier's out-arcs from the CSR rows, keep
-  the unreached cells and deduplicate them without sorting. Work is
+- sparse (push) step: gather the cells one out-arc beyond the frontier, keep
+  the unreached ones and deduplicate them without sorting. Work is
   proportional to the arcs leaving the frontier, so a BFS over all levels
-  costs O(S·m) and high-diameter sparse graphs stay cheap;
+  costs O(S·m) and high-diameter sparse graphs stay cheap. The candidates
+  come in one of two forms, fixed per call:
+  - padded: when the largest out-degree D is at most twice the mean
+    (n·D ≤ 2m), an (n, D) int64 table of head − tail per out-arc, short rows
+    padded with 0, gives them as `keys[:, None] + offsets[cols]`, two numpy
+    calls per level. The table is built at the call's first sparse step, so
+    a call that only pulls never builds it;
+  - CSR: otherwise, the frontier's CSR rows expanded by cumsum, repeat and
+    arange. The guard keeps one hub from widening every row: a padded step
+    gathers D offsets per frontier cell and is costed so, and on a
+    400-vertex directed cycle with one out-hub (D = 399) that inflated
+    estimate makes the kernel pull at each of its ~n levels, 22 → 179 ms;
 - pull step: every unreached cell asks whether an in-neighbour is in the
   frontier. Its cost does not depend on the frontier, so low-diameter dense
   graphs take a few of them. It runs in one of two forms, fixed per block:
@@ -20,17 +31,17 @@ cells (the direction-optimizing idea of Beamer, Asanovic & Patterson, SC 2012):
     words of its in-neighbours: W·m word ORs for W = ⌈S/64⌉, plus packing
     and unpacking the S·n block cells.
 
-All costs are counted in BLAS multiply-adds: a sparse step's out-arc count
-weighs `_DENSE_COST` each, a bit step's W·m words and S·n cells `_BIT_COST`
-each. A block takes the cheaper pull form, and each level compares the sparse
-step against it: one cost comparison per level. Since a bit step costs at
+All costs are counted in BLAS multiply-adds: a sparse step's gathered arcs,
+padding included, weigh `_DENSE_COST` each, a bit step's W·m words and S·n
+cells `_BIT_COST` each. A block takes the cheaper pull form, and each level
+compares the sparse step against it: one cost comparison per level. Since a bit step costs at
 least `_BIT_COST`·S·n, graphs on at most `_BIT_COST` vertices always pull
 through BLAS, where the bit step's fixed numpy overheads would dominate.
 The dense adjacency is built only when a dense step first runs. The block size
 bounds every per-level array to about `_BLOCK_CELLS` entries, and a bit step
 gathers at most about `_GATHER_WORDS` words at once, so beside the n×n int32
-table and at most one n×n float32 adjacency the kernel's memory stays
-O(`_BLOCK_CELLS` + n).
+table, at most one n×n float32 adjacency and the n·D ≤ 2m offsets the
+kernel's memory stays O(`_BLOCK_CELLS` + n).
 """
 
 from __future__ import annotations
@@ -48,22 +59,50 @@ _DENSE_COST = 1024
 _BIT_COST = 128
 # Frontier words a bit step gathers at once: 1 MB of uint64.
 _GATHER_WORDS = 1 << 17
+# Sparse steps gather padded offset rows when the largest out-degree is at
+# most this many times the mean.
+_PAD_RATIO = 2
 
 
-def _sparse_step(flat, keys, cols, counts, indptr, indices):
+def _out_offsets(indices, deg, width):
+    """(n, width) int64 table of head - tail per out-arc; short rows padded with 0."""
+    n = deg.size
+    offsets = np.zeros((n, width), dtype=np.int64)
+    # row-major boolean scatter: row v's first deg[v] slots take its CSR segment
+    offsets[np.arange(width) < deg[:, None]] = indices - np.arange(n).repeat(deg)
+    return offsets
+
+
+def _sparse_step(flat, keys, cols, counts, indptr, indices, offsets):
     """Unreached cells one arc beyond the frontier keys, each exactly once.
 
-    A key is row*n + v for frontier cell (row, v) of the block. Candidates are
-    deduplicated by writing a distinct negative tag (below the -1 sentinel)
-    into each candidate cell and keeping the candidates whose tag survived.
+    A key is row*n + v for frontier cell (row, v) of the block, and out-arc
+    v -> w leads it to key + (w - v). With the padded table `offsets` of
+    `_out_offsets`, the candidates are `keys[:, None] + offsets[cols]`.
+    Padding is safe: offset 0 maps a frontier key to itself, and every
+    frontier cell was written with its level (>= 1) before this step expands
+    it, so the `< 0` filter drops the padded candidates, as it drops any cell
+    already reached. Without the table (`offsets` None), the candidates are
+    expanded from the CSR rows, `counts` holding each key's out-degree.
+
+    The padded rows interleave padding and arcs back into reached cells with
+    new cells, so their keep mask alternates, where `compress` beats a boolean
+    index; the CSR rows' masks run long and keep the boolean index. Candidates
+    are deduplicated by writing a distinct negative tag (below the -1
+    sentinel) into each candidate cell and keeping the candidates whose tag
+    survived, nearly all of them on sparse graphs: a boolean index again.
     """
-    ends = np.cumsum(counts)
-    pos = np.repeat(indptr[cols] - ends + counts, counts) + np.arange(ends[-1])
-    cand = np.repeat(keys - cols, counts) + indices[pos]
-    cand = cand[flat[cand] < 0]
+    if offsets is not None:
+        cand = (keys[:, None] + offsets.take(cols, axis=0)).reshape(-1)
+        cand = cand.compress(flat.take(cand) < 0)
+    else:
+        ends = np.cumsum(counts)
+        pos = np.repeat(indptr[cols] - ends + counts, counts) + np.arange(ends[-1])
+        cand = np.repeat(keys - cols, counts) + indices[pos]
+        cand = cand[flat.take(cand) < 0]
     tag = np.arange(-2, -2 - cand.size, -1, dtype=np.int32)
     flat[cand] = tag
-    return cand[flat[cand] == tag]
+    return cand[flat.take(cand) == tag]
 
 
 def _dense_step(rows, mask, adj):
@@ -116,6 +155,9 @@ def all_pairs_directed_dist(
     dist.reshape(-1)[arc_cells] = 1  # level 1 of every source at once
     np.fill_diagonal(dist, 0)
     adj = None
+    width = int(deg.max())
+    padded = n * width <= _PAD_RATIO * indices.size
+    offsets = counts = None
     block = max(1, min(_BLOCK_CELLS // n, _BLOCK_CELLS * _DENSE_COST // (n * n)))
     for s0 in range(0, n, block):
         rows = dist[s0:s0 + block]
@@ -131,12 +173,16 @@ def all_pairs_directed_dist(
             level += 1
             pull = pull_cells < _DENSE_COST  # tiny blocks skip counting arcs
             if not pull:
+                # a sparse step's gathered arcs, padding included
                 if mask is not None:
-                    arcs = mask.sum(axis=0) @ deg
+                    arcs = np.count_nonzero(mask) * width if padded else mask.sum(axis=0) @ deg
                 else:
                     cols = keys % n
-                    counts = deg[cols]
-                    arcs = counts.sum()
+                    if padded:
+                        arcs = keys.size * width
+                    else:
+                        counts = deg.take(cols)
+                        arcs = counts.sum()
                 pull = arcs * _DENSE_COST > pull_cells
             if pull:
                 if mask is None:
@@ -156,8 +202,14 @@ def all_pairs_directed_dist(
                     keys = np.flatnonzero(mask)
                     mask = None
                     cols = keys % n
-                    counts = deg[cols]
-                keys = _sparse_step(flat, keys, cols, counts, indptr, indices) if arcs else keys[:0]
+                    if not padded:
+                        counts = deg.take(cols)
+                if not arcs:
+                    keys = keys[:0]
+                else:
+                    if padded and offsets is None:  # the call's first sparse step
+                        offsets = _out_offsets(indices, deg, width)
+                    keys = _sparse_step(flat, keys, cols, counts, indptr, indices, offsets)
                 found = keys.size
                 flat[keys] = level
             if not found:

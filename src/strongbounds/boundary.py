@@ -106,11 +106,11 @@ def _boundary_witnesses(p: MetricProfile, d: Digraph, neighborhood: str) -> np.n
     # md is symmetric: row v of md - ecc[None, :] holds md(u, v) - ecc(u) for
     # every u, and a row argmax needs no transposed copy of the table
     cand = (md - p.ecc[None, :]).argmax(axis=1)
-    rows = np.repeat(np.arange(d.n), np.diff(indptr))
+    rows = np.repeat(np.arange(d.n), indptr[1:] - indptr[:-1])
     worst = _segment_max(md[cand[rows], indices], indptr)
     witness = np.where(worst <= md[cand, np.arange(d.n)], cand, -1)
-    for v, col in _worst_columns(md, indptr, indices, np.flatnonzero(witness < 0).tolist()):
-        hits = np.flatnonzero(col <= md[v])
+    for v, col in _worst_columns(md, indptr, indices, (witness < 0).nonzero()[0].tolist()):
+        hits = (col <= md[v]).nonzero()[0]
         if hits.size:
             witness[v] = hits[0]
     return witness
@@ -125,7 +125,7 @@ def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> fr
     which only matters for the single-vertex digraph (empty neighbor list,
     vacuously boundary).
     """
-    return frozenset(np.flatnonzero(_boundary_witnesses(p, d, neighborhood) >= 0).tolist())
+    return frozenset((_boundary_witnesses(p, d, neighborhood) >= 0).nonzero()[0].tolist())
 
 
 def _eccentric_mask(p: MetricProfile, at_least: int = 0) -> np.ndarray:
@@ -141,12 +141,12 @@ def _eccentric_mask(p: MetricProfile, at_least: int = 0) -> np.ndarray:
 
 def eccentric_set(p: MetricProfile) -> frozenset[int]:
     """Vertices realizing some vertex's eccentricity: exists u, md(u,v) = ecc(u)."""
-    return frozenset(np.flatnonzero(_eccentric_mask(p)).tolist())
+    return frozenset(_eccentric_mask(p).nonzero()[0].tolist())
 
 
 def periphery_set(p: MetricProfile) -> frozenset[int]:
     """Vertices whose eccentricity equals the diameter."""
-    return frozenset(np.flatnonzero(p.ecc == p.diameter).tolist())
+    return frozenset((p.ecc == p.diameter).nonzero()[0].tolist())
 
 
 def contour_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> frozenset[int]:
@@ -154,7 +154,7 @@ def contour_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> fro
     _check_neighborhood(neighborhood)
     indptr, indices = _neighbor_csr(d, neighborhood)
     worst = _segment_max(p.ecc[indices], indptr)
-    return frozenset(np.flatnonzero(worst <= p.ecc).tolist())
+    return frozenset((worst <= p.ecc).nonzero()[0].tolist())
 
 
 def boundary_profile(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> BoundaryProfile:

@@ -144,7 +144,7 @@ def strong_product(
 def _closed_arc_ends(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
     """(tails, heads) of the closed arcs of d, its arcs and its n self-pairs, by key."""
     n = d.n
-    tails = np.repeat(np.arange(n), np.diff(d.out_indptr))
+    tails = np.repeat(np.arange(n), d.out_indptr[1:] - d.out_indptr[:-1])
     keys = np.concatenate((tails * n + d.out_indices, np.arange(n) * (n + 1)))
     keys.sort()
     return np.divmod(keys, n)
@@ -215,12 +215,12 @@ def _member_mask(members: frozenset[int], n: int) -> np.ndarray:
 
 
 def _grid_to_set(grid: np.ndarray) -> frozenset[int]:
-    return frozenset(np.flatnonzero(grid.ravel()).tolist())
+    return frozenset(grid.ravel().nonzero()[0].tolist())
 
 
 def _worst_neighbor_md(d: Digraph, p: MetricProfile) -> np.ndarray:
     """worst[v] = max md(v, w) over w in N(v); -1 for an empty neighborhood."""
-    rows = np.repeat(np.arange(d.n), np.diff(d.und_indptr))
+    rows = np.repeat(np.arange(d.n), d.und_indptr[1:] - d.und_indptr[:-1])
     return _segment_max(p.md[rows, d.und_indices], d.und_indptr)
 
 

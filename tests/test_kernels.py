@@ -13,6 +13,7 @@ from strongbounds import (
     from_arcs,
     generate_strong_digraph,
     metric_profile,
+    run_verification,
     strong_product,
 )
 from strategies import digraphs, strong_digraphs
@@ -40,6 +41,20 @@ def _bidirected_path(n):
     return from_arcs(n, [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)])
 
 
+def _bidirected_grid(k):
+    v = np.arange(k * k).reshape(k, k)
+    pairs = np.concatenate([
+        np.stack([v[:, :-1].ravel(), v[:, 1:].ravel()], axis=1),
+        np.stack([v[:-1].ravel(), v[1:].ravel()], axis=1),
+    ])
+    return from_arcs(k * k, np.concatenate([pairs, pairs[:, ::-1]]))
+
+
+def _hub_cycle(n):
+    """Directed n-cycle plus arcs from vertex 0 to every vertex: D = n - 1."""
+    return from_arcs(n, [(i, (i + 1) % n) for i in range(n)] + [(0, j) for j in range(2, n)])
+
+
 @pytest.fixture
 def steps(monkeypatch):
     """Kinds of BFS step the kernel takes, in order."""
@@ -53,6 +68,25 @@ def steps(monkeypatch):
 
         monkeypatch.setattr(_kernels, f"_{kind}_step", record)
     return taken
+
+
+def _record_offsets(patch, built):
+    original = _kernels._out_offsets
+
+    def record(*args):
+        table = original(*args)
+        built.append(table.shape)
+        return table
+
+    patch.setattr(_kernels, "_out_offsets", record)
+
+
+@pytest.fixture
+def offset_tables(monkeypatch):
+    """Shapes of the padded offset tables the kernel builds, in order."""
+    built = []
+    _record_offsets(monkeypatch, built)
+    return built
 
 
 class TestAllPairsLanes:
@@ -75,26 +109,86 @@ class TestAllPairsBFS:
         # with an empty first frontier
         assert _dist(d).tolist() == _expected_dist(d)
 
-    def test_directed_cycle_closed_form(self, steps):
+    def test_directed_cycle_closed_form(self, steps, offset_tables):
         n = self.N
         d = from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
         v = np.arange(n)
         assert np.array_equal(_dist(d), (v[None, :] - v[:, None]) % n)
         assert set(steps) == {"sparse"}
+        assert offset_tables == [(n, 1)]  # one table for all blocks
 
-    def test_bidirected_path_closed_form(self, steps):
+    def test_bidirected_path_closed_form(self, steps, offset_tables):
+        # both ends have one out-arc, so their rows carry a padded slot
         n = self.N
         v = np.arange(n)
         assert np.array_equal(_dist(_bidirected_path(n)), np.abs(v[None, :] - v[:, None]))
         assert set(steps) == {"sparse"}
+        assert offset_tables == [(n, 2)]
 
-    def test_ladder_sparse_steps_deduplicate(self, steps):
+    def test_ladder_sparse_steps_deduplicate(self, steps, offset_tables):
         # path x K2: both cells of one rung reach both cells of the next, so
         # every sparse step gathers each new cell twice
         path = np.abs(np.arange(self.N // 2)[:, None] - np.arange(self.N // 2)[None, :])
         ladder, _ = strong_product(_bidirected_path(self.N // 2), _bidirected_path(2))
         assert np.array_equal(_dist(ladder), _outer_max(path, 1 - np.eye(2, dtype=int)))
         assert set(steps) == {"sparse"}
+        assert offset_tables == [(self.N, 5)]
+
+    def test_bidirected_grid_manhattan(self, steps, offset_tables):
+        # rows of degree 2, 3 and 4 padded to 4, in several source blocks
+        k = 40
+        r, c = np.divmod(np.arange(k * k), k)
+        manhattan = np.abs(r[:, None] - r[None, :]) + np.abs(c[:, None] - c[None, :])
+        assert np.array_equal(_dist(_bidirected_grid(k)), manhattan)
+        assert set(steps) == {"sparse"}
+        assert offset_tables == [(k * k, 4)]
+
+    def test_hub_past_guard_expands_csr_rows(self, steps, offset_tables):
+        # D = n - 1 is far above twice the mean out-degree (about 2): padded
+        # rows would be n - 1 wide, so the sparse steps expand the CSR rows
+        n = 300
+        d = _hub_cycle(n)
+        assert n * (n - 1) > _kernels._PAD_RATIO * d.out_indices.size
+        expected = np.stack([directed_distances_from(d, s) for s in range(n)])
+        assert np.array_equal(_dist(d), expected)
+        assert set(steps) == {"sparse"}
+        assert offset_tables == []
+
+    @settings(deadline=None)
+    @given(digraphs(min_n=8, max_n=20))
+    def test_both_candidate_forms_match_oracle(self, d):
+        # a zero sparse-step weight makes every level with arcs push, and the
+        # guard ratio forces each candidate form in turn
+        expected = _expected_dist(d)
+        sparse_step = _kernels._sparse_step
+        for ratio in (0, 1 << 30):
+            built, tables = [], []
+
+            def step(*args):
+                tables.append(args[-1])  # the offsets, None in the CSR form
+                return sparse_step(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_kernels, "_DENSE_COST", 0)
+                mp.setattr(_kernels, "_PAD_RATIO", ratio)
+                mp.setattr(_kernels, "_sparse_step", step)
+                _record_offsets(mp, built)
+                assert _dist(d).tolist() == expected
+            assert len(built) == (1 if ratio and tables else 0)
+            assert all((table is not None) == bool(ratio) for table in tables)
+
+    def test_pull_only_calls_build_no_offsets(self, offset_tables):
+        # verify-sized graphs and an oracle-route product pass the guard but
+        # only pull, so their calls never build the padded table
+        run_verification(10, seed=0)
+        g1 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=2)).digraph
+        g2 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=3)).digraph
+        prod, _ = strong_product(g1, g2)
+        for d in (g1, g2, prod):
+            width = np.max(d.out_indptr[1:] - d.out_indptr[:-1])
+            assert d.n * width <= _kernels._PAD_RATIO * d.out_indices.size
+            _dist(d)
+        assert offset_tables == []
 
     def test_lollipop_switches_dense_to_sparse(self, steps):
         # a complete core with a bidirected tail: the early levels from the

@@ -44,7 +44,6 @@ from .metric import (
     directed_distances_from,
     max_distance,
     metric_profile,
-    sum_distance,
 )
 from .product import (
     DEFAULT_VERTEX_BUDGET,
@@ -129,7 +128,6 @@ __all__ = [
     "run_verification",
     "serialize_edge_list",
     "strong_product",
-    "sum_distance",
     "swap_product_set",
     "undirected_formula_counterexample",
 ]

@@ -1,9 +1,19 @@
 """Definition-level boundary, contour, eccentricity, and periphery sets.
 
 All four extractions run from a precomputed MetricProfile; nothing here
-recomputes distances. The neighborhood argument selects open N(v) (default) or
-closed N[v]; the two give identical boundary and contour sets, which the test
-suite asserts rather than assumes.
+recomputes distances. Each set is a boolean mask over the vertices, true at
+the members. The neighborhood argument selects open N(v) (default) or closed
+N[v] = N(v) ∪ {v}. A max over N[v] is the max over N(v) and the value at v, so
+the closed form is `np.maximum` of the open one with the value at v, and no
+second neighbor list is built.
+
+The two forms give the same boundary and contour on every digraph. Proof. For
+a candidate witness u, the boundary compares the max of md(u, w) over the
+neighbors w of v with md(u, v). The w = v term of N[v] is md(u, v) itself, so
+it never exceeds the v term: the max over N[v] is at most md(u, v) exactly
+when the max over N(v) is. The contour compares the max of ecc(w) with ecc(v),
+and the w = v term is ecc(v). Either way the closed form raises a neighbor max
+at most to the value it is compared with, and no comparison changes.
 """
 
 from __future__ import annotations
@@ -18,37 +28,32 @@ from .metric import MetricProfile
 NEIGHBORHOODS = ("open", "closed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryProfile:
-    """The four boundary-type vertex sets of one strong digraph."""
+    """The four boundary-type sets of one strong digraph, as read-only boolean masks.
 
-    boundary: frozenset[int]
-    contour: frozenset[int]
-    eccentricity_set: frozenset[int]
-    periphery: frozenset[int]
+    Each field is an n-long bool array, true at the members; a product's sets
+    are C-order raveled over its (n1, n2) grid, so pair (i, r) is index
+    i*n2 + r. The masks are made read-only, as MetricProfile's tables are, so
+    profiles can be shared (FactorPair does). Members are `mask.nonzero()[0]`,
+    sorted.
+    """
+
+    boundary: np.ndarray
+    contour: np.ndarray
+    eccentricity_set: np.ndarray
+    periphery: np.ndarray
+
+    def __post_init__(self):
+        for mask in (self.boundary, self.contour, self.eccentricity_set, self.periphery):
+            mask.setflags(write=False)
 
 
-def _check_neighborhood(neighborhood: str) -> None:
+def _is_closed(neighborhood: str) -> bool:
+    """True for the closed form; ValueError for an unknown name."""
     if neighborhood not in NEIGHBORHOODS:
         raise ValueError(f"neighborhood must be one of {NEIGHBORHOODS}, got {neighborhood!r}")
-
-
-def _neighbor_csr(d: Digraph, neighborhood: str) -> tuple[np.ndarray, np.ndarray]:
-    """CSR neighbor rows, with v prepended to its own row for the closed form.
-
-    Row v of the closed form starts at und_indptr[v] + v and holds v there;
-    the other slots take the open rows' entries in order, through one
-    boolean scatter.
-    """
-    if neighborhood == "open":
-        return d.und_indptr, d.und_indices
-    indptr = d.und_indptr + np.arange(d.n + 1, dtype=np.int32)
-    own = np.zeros(indptr[-1], dtype=bool)
-    own[indptr[:-1]] = True
-    indices = np.empty(own.size, dtype=d.und_indices.dtype)
-    indices[~own] = d.und_indices
-    indices[own] = np.arange(d.n)
-    return indptr, indices
+    return neighborhood == "closed"
 
 
 def _segment_max(gathered: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -100,24 +105,28 @@ def _boundary_witnesses(p: MetricProfile, d: Digraph, neighborhood: str) -> np.n
     definition at once, in O(m). Only the vertices whose candidate fails get
     their W column built, and there the witness is the first u that passes.
     """
-    _check_neighborhood(neighborhood)
-    indptr, indices = _neighbor_csr(d, neighborhood)
-    md = p.md
+    closed = _is_closed(neighborhood)
+    indptr, indices, md = d.und_indptr, d.und_indices, p.md
     # md is symmetric: row v of md - ecc[None, :] holds md(u, v) - ecc(u) for
     # every u, and a row argmax needs no transposed copy of the table
     cand = (md - p.ecc[None, :]).argmax(axis=1)
+    at_v = md[cand, np.arange(d.n)]
     rows = np.repeat(np.arange(d.n), indptr[1:] - indptr[:-1])
     worst = _segment_max(md[cand[rows], indices], indptr)
-    witness = np.where(worst <= md[cand, np.arange(d.n)], cand, -1)
+    if closed:
+        worst = np.maximum(worst, at_v)
+    witness = np.where(worst <= at_v, cand, -1)
     for v, col in _worst_columns(md, indptr, indices, (witness < 0).nonzero()[0].tolist()):
+        if closed:
+            col = np.maximum(col, md[v])
         hits = (col <= md[v]).nonzero()[0]
         if hits.size:
             witness[v] = hits[0]
     return witness
 
 
-def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> frozenset[int]:
-    """Vertices v admitting a witness u with md(u,w) <= md(u,v) for all w in N(v).
+def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> np.ndarray:
+    """Mask of the v admitting a witness u with md(u,w) <= md(u,v) for all w in N(v).
 
     The members are the vertices with a witness in `_boundary_witnesses`,
     which checks one candidate per vertex and builds a W column only where the
@@ -125,7 +134,7 @@ def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> fr
     which only matters for the single-vertex digraph (empty neighbor list,
     vacuously boundary).
     """
-    return frozenset((_boundary_witnesses(p, d, neighborhood) >= 0).nonzero()[0].tolist())
+    return _boundary_witnesses(p, d, neighborhood) >= 0
 
 
 def _eccentric_mask(p: MetricProfile, at_least: int = 0) -> np.ndarray:
@@ -139,22 +148,22 @@ def _eccentric_mask(p: MetricProfile, at_least: int = 0) -> np.ndarray:
     return hits.any(axis=0)
 
 
-def eccentric_set(p: MetricProfile) -> frozenset[int]:
-    """Vertices realizing some vertex's eccentricity: exists u, md(u,v) = ecc(u)."""
-    return frozenset(_eccentric_mask(p).nonzero()[0].tolist())
+def eccentric_set(p: MetricProfile) -> np.ndarray:
+    """Mask of the vertices realizing some vertex's eccentricity: exists u, md(u,v) = ecc(u)."""
+    return _eccentric_mask(p)
 
 
-def periphery_set(p: MetricProfile) -> frozenset[int]:
-    """Vertices whose eccentricity equals the diameter."""
-    return frozenset((p.ecc == p.diameter).nonzero()[0].tolist())
+def periphery_set(p: MetricProfile) -> np.ndarray:
+    """Mask of the vertices whose eccentricity equals the diameter."""
+    return p.ecc == p.diameter
 
 
-def contour_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> frozenset[int]:
-    """Vertices whose eccentricity no neighbor exceeds."""
-    _check_neighborhood(neighborhood)
-    indptr, indices = _neighbor_csr(d, neighborhood)
-    worst = _segment_max(p.ecc[indices], indptr)
-    return frozenset((worst <= p.ecc).nonzero()[0].tolist())
+def contour_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> np.ndarray:
+    """Mask of the vertices whose eccentricity no neighbor exceeds."""
+    worst = _segment_max(p.ecc[d.und_indices], d.und_indptr)
+    if _is_closed(neighborhood):
+        worst = np.maximum(worst, p.ecc)
+    return worst <= p.ecc
 
 
 def boundary_profile(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> BoundaryProfile:

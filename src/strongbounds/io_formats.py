@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .boundary import BoundaryProfile
 from .digraph import Digraph, from_arcs
 from .errors import LoopArc, ParallelArc, ParseError, UnknownSetName, VertexOutOfRange
@@ -132,8 +134,8 @@ def serialize_edge_list(
     return "\n".join(lines) + "\n"
 
 
-def resolve_set_name(profile: BoundaryProfile, name: str) -> frozenset[int]:
-    """Map a set name to its members; UnknownSetName otherwise."""
+def resolve_set_name(profile: BoundaryProfile, name: str) -> np.ndarray:
+    """Map a set name to its member mask; UnknownSetName otherwise."""
     if name not in SET_FIELDS:
         raise UnknownSetName(f"unknown set {name!r}; expected one of {SET_NAMES}")
     return getattr(profile, SET_FIELDS[name])
@@ -142,12 +144,13 @@ def resolve_set_name(profile: BoundaryProfile, name: str) -> frozenset[int]:
 def export_dot(
     d: Digraph,
     labels: dict[int, str] | None = None,
-    highlight: frozenset[int] | None = None,
+    highlight: np.ndarray | None = None,
     highlight_name: str | None = None,
     graph_name: str = "D",
 ) -> str:
-    """DOT text with one edge statement per arc; highlighted vertices filled."""
+    """DOT text with one edge statement per arc; vertices true in the highlight mask filled."""
     labels = labels or {}
+    filled = [False] * d.n if highlight is None else highlight.tolist()
 
     def node_id(v: int) -> str:
         label = labels.get(v, str(v))
@@ -158,7 +161,7 @@ def export_dot(
         lines.append(f'  // filled nodes: {highlight_name}')
     lines.append("  node [shape=circle];")
     for v in range(d.n):
-        attrs = " [style=filled, fillcolor=lightblue]" if highlight and v in highlight else ""
+        attrs = " [style=filled, fillcolor=lightblue]" if filled[v] else ""
         lines.append(f"  {node_id(v)}{attrs};")
     for a, b in d._arc_array().tolist():
         lines.append(f"  {node_id(a)} -> {node_id(b)};")

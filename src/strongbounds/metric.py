@@ -91,12 +91,6 @@ def max_distance(table: np.ndarray, u: int, v: int) -> int:
     return int(max(table[u, v], table[v, u]))
 
 
-def sum_distance(table: np.ndarray, u: int, v: int) -> int:
-    """sd(u,v): the two directed distances added (convenience only)."""
-    _check_pair(table, u, v)
-    return int(table[u, v] + table[v, u])
-
-
 def metric_profile(d: Digraph) -> MetricProfile:
     """md table, eccentricities, radius, and diameter of a strong digraph."""
     table = all_pairs_directed(d)

@@ -16,8 +16,9 @@ and `product_contour_exact_via_factors` are the exact factor-side routes for
 those two sets. Each exact set's docstring carries its proof.
 
 Pair (i, r) is encoded as i*n2 + r, which is exactly C-order raveling of an
-(n1, n2) grid; the formula code exploits that by building boolean grids and
-reading off flat indices.
+(n1, n2) grid. Every set is a boolean mask over the vertices, as in
+`boundary`: a formula builds its (n1, n2) grid from the factor masks and
+vectors and returns it raveled, so index i*n2 + r is pair (i, r).
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ class FactorPair:
         return ProductLabel(self.d1.n, self.d2.n)
 
 
-def product_vertex_count(d1: Digraph, d2: Digraph) -> int:
-    return d1.n * d2.n
-
-
 def product_arc_count(d1: Digraph, d2: Digraph) -> int:
     """Arc count of the product from factor counts alone.
 
@@ -126,7 +123,7 @@ def strong_product(
     so no key is a loop; and (i, j, r, s) -> (x, y) -> x*n + y is injective,
     so keys from distinct pairs of distinct closed arcs are distinct.
     """
-    n = product_vertex_count(d1, d2)
+    n = d1.n * d2.n
     if n > budget:
         raise SizeOverflow(
             f"product on {d1.n}*{d2.n}={n} vertices exceeds the budget of {budget}"
@@ -204,19 +201,9 @@ def product_metric_profile(f: FactorPair, budget: int = DEFAULT_VERTEX_BUDGET) -
 # ----------------------------------------------------------------------------
 # factor formulas for the four sets
 #
-# Each builds an (n1, n2) boolean grid whose raveled true positions are the
-# encoded members. Grids keep the evaluations O(n1*n2) and product-free.
+# Each builds an (n1, n2) boolean grid and returns it raveled: the product's
+# mask in encoded order. Grids keep the evaluations O(n1*n2) and product-free.
 # ----------------------------------------------------------------------------
-
-def _member_mask(members: frozenset[int], n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[list(members)] = True
-    return mask
-
-
-def _grid_to_set(grid: np.ndarray) -> frozenset[int]:
-    return frozenset(grid.ravel().nonzero()[0].tolist())
-
 
 def _worst_neighbor_md(d: Digraph, p: MetricProfile) -> np.ndarray:
     """worst[v] = max md(v, w) over w in N(v); -1 for an empty neighborhood."""
@@ -224,7 +211,7 @@ def _worst_neighbor_md(d: Digraph, p: MetricProfile) -> np.ndarray:
     return _segment_max(p.md[rows, d.und_indices], d.und_indptr)
 
 
-def product_boundary_via_factors(f: FactorPair) -> frozenset[int]:
+def product_boundary_via_factors(f: FactorPair) -> np.ndarray:
     """Boundary of the product by the paper's factor characterization A1 ∪ A2 ∪ A3.
 
     The first part pairs boundary vertices of both factors. The second takes
@@ -238,28 +225,26 @@ def product_boundary_via_factors(f: FactorPair) -> frozenset[int]:
     verification harness surfaces both; `product_boundary_exact_via_factors`
     is the exact route.
     """
-    n1, n2 = f.d1.n, f.d2.n
-    bd1 = _member_mask(f.b1.boundary, n1)
-    bd2 = _member_mask(f.b2.boundary, n2)
+    bd1, bd2 = f.b1.boundary, f.b2.boundary
     worst1 = _worst_neighbor_md(f.d1, f.p1)
     worst2 = _worst_neighbor_md(f.d2, f.p2)
     a1 = bd1[:, None] & bd2[None, :]
     a2 = bd1[:, None] & ~bd2[None, :] & (worst2[None, :] <= f.p1.ecc[:, None])
     a3 = ~bd1[:, None] & bd2[None, :] & (worst1[:, None] <= f.p2.ecc[None, :])
-    return _grid_to_set(a1 | a2 | a3)
+    return (a1 | a2 | a3).ravel()
 
 
-def product_periphery_via_factors(f: FactorPair) -> frozenset[int]:
+def product_periphery_via_factors(f: FactorPair) -> np.ndarray:
     """Periphery of the product: (i, r) with ecc1(i) = D or ecc2(r) = D.
 
     Proof. With D = max(diam1, diam2), the product diameter, (i, r) is
     peripheral iff max(ecc1(i), ecc2(r)) = D, and neither eccentricity exceeds D.
     """
     top = max(f.p1.diameter, f.p2.diameter)
-    return _grid_to_set((f.p1.ecc == top)[:, None] | (f.p2.ecc == top)[None, :])
+    return ((f.p1.ecc == top)[:, None] | (f.p2.ecc == top)[None, :]).ravel()
 
 
-def product_eccentric_via_factors(f: FactorPair) -> frozenset[int]:
+def product_eccentric_via_factors(f: FactorPair) -> np.ndarray:
     """Eccentricity set of the product: E1 × V2 ∪ V1 × E2.
 
     E1 holds the vertices of D1 eccentric for some i with ecc1(i) >= rad2, and
@@ -270,10 +255,10 @@ def product_eccentric_via_factors(f: FactorPair) -> frozenset[int]:
     """
     e1 = _eccentric_mask(f.p1, at_least=f.p2.radius)
     e2 = _eccentric_mask(f.p2, at_least=f.p1.radius)
-    return _grid_to_set(e1[:, None] | e2[None, :])
+    return (e1[:, None] | e2[None, :]).ravel()
 
 
-def product_contour_via_factors(f: FactorPair) -> frozenset[int]:
+def product_contour_via_factors(f: FactorPair) -> np.ndarray:
     """Contour of the product by the three-case factor formula.
 
     Implemented exactly in its stated form; like the boundary characterization
@@ -282,12 +267,10 @@ def product_contour_via_factors(f: FactorPair) -> frozenset[int]:
     which the verification harness surfaces: it holds on 190/200 trials of
     the seed-0 ``verify --trials 200`` corpus (the boundary form on 183/200).
     """
-    n1, n2 = f.d1.n, f.d2.n
-    ct1 = _member_mask(f.b1.contour, n1)
-    ct2 = _member_mask(f.b2.contour, n2)
+    ct1, ct2 = f.b1.contour, f.b2.contour
     e1, e2 = f.p1.ecc[:, None], f.p2.ecc[None, :]
     grid = (ct1[:, None] & (e2 < e1)) | (ct2[None, :] & (e1 < e2)) | (ct1[:, None] & ct2[None, :])
-    return _grid_to_set(grid)
+    return grid.ravel()
 
 
 # ----------------------------------------------------------------------------
@@ -318,7 +301,7 @@ def _witness_reach(d: Digraph, p: MetricProfile) -> tuple[np.ndarray, np.ndarray
     return reach, least
 
 
-def product_boundary_exact_via_factors(f: FactorPair) -> frozenset[int]:
+def product_boundary_exact_via_factors(f: FactorPair) -> np.ndarray:
     """Definition-level boundary of the product, from the two factors alone.
 
     (i, r) is a boundary vertex iff A1(i) >= m2(r) or A2(r) >= m1(i), with A
@@ -333,10 +316,10 @@ def product_boundary_exact_via_factors(f: FactorPair) -> frozenset[int]:
     """
     a1, m1 = _witness_reach(f.d1, f.p1)
     a2, m2 = _witness_reach(f.d2, f.p2)
-    return _grid_to_set((a1[:, None] >= m2[None, :]) | (a2[None, :] >= m1[:, None]))
+    return ((a1[:, None] >= m2[None, :]) | (a2[None, :] >= m1[:, None])).ravel()
 
 
-def product_contour_exact_via_factors(f: FactorPair) -> frozenset[int]:
+def product_contour_exact_via_factors(f: FactorPair) -> np.ndarray:
     """Definition-level contour of the product, from the two factors alone.
 
     With c(v) the largest ecc over N(v) and E = max(ecc1(i), ecc2(r)), the
@@ -351,7 +334,7 @@ def product_contour_exact_via_factors(f: FactorPair) -> frozenset[int]:
     c1 = _segment_max(f.p1.ecc[f.d1.und_indices], f.d1.und_indptr)
     c2 = _segment_max(f.p2.ecc[f.d2.und_indices], f.d2.und_indptr)
     e = np.maximum.outer(f.p1.ecc, f.p2.ecc)
-    return _grid_to_set((c1[:, None] <= e) & (c2[None, :] <= e))
+    return ((c1[:, None] <= e) & (c2[None, :] <= e)).ravel()
 
 
 def product_boundary_profile_via_factors(f: FactorPair) -> BoundaryProfile:
@@ -364,7 +347,7 @@ def product_boundary_profile_via_factors(f: FactorPair) -> BoundaryProfile:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UndirectedFormulaReport:
     """Contrast of the undirected-style boundary identity with the factor formula.
 
@@ -372,19 +355,17 @@ class UndirectedFormulaReport:
     graphs; factor_boundary is the directed factor characterization
     (A1 ∪ A2 ∪ A3). difference is their symmetric difference, empty exactly
     when the undirected identity and the directed characterization agree.
+    All three are product masks in encoded order.
     """
 
-    candidate: frozenset[int]
-    factor_boundary: frozenset[int]
-    difference: frozenset[int]
+    candidate: np.ndarray
+    factor_boundary: np.ndarray
+    difference: np.ndarray
 
 
 def undirected_formula_counterexample(f: FactorPair) -> UndirectedFormulaReport:
     """Where the undirected-style boundary identity diverges from the factor formula."""
-    n1, n2 = f.d1.n, f.d2.n
-    bd1 = _member_mask(f.b1.boundary, n1)
-    bd2 = _member_mask(f.b2.boundary, n2)
-    candidate = _grid_to_set(bd1[:, None] | bd2[None, :])
+    candidate = (f.b1.boundary[:, None] | f.b2.boundary[None, :]).ravel()
     factor = product_boundary_via_factors(f)
     return UndirectedFormulaReport(
         candidate=candidate,
@@ -393,6 +374,6 @@ def undirected_formula_counterexample(f: FactorPair) -> UndirectedFormulaReport:
     )
 
 
-def swap_product_set(members: frozenset[int], n1: int, n2: int) -> frozenset[int]:
-    """Map encoded members of an n1 x n2 product onto the n2 x n1 product."""
-    return frozenset((x % n2) * n1 + x // n2 for x in members)
+def swap_product_set(members: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Map a mask of an n1 x n2 product onto the n2 x n1 product: (i, r) -> (r, i)."""
+    return members.reshape(n1, n2).T.ravel()

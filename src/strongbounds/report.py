@@ -1,15 +1,17 @@
 """Analysis reports: deterministic machine-readable JSON, optional pretty text.
 
 Set members are emitted sorted and dict key order is fixed by construction,
-so identical inputs produce byte-identical reports. Every integer sequence of
-a payload (eccentricity vectors, set members, differences) is an int ndarray
-from where it is computed to the encoder. The JSON text is byte-identical to
-``json.dumps(..., indent=2)`` of the same values as lists, plus a trailing
-newline. ``_encode`` writes that layout directly: with an indent,
-``json.dumps`` runs its pure-Python encoder, one generator frame per item of
-a 10^6-entry product eccentricity vector, while ``_encode`` writes an ndarray
-as one ``join`` over a table of decimal strings and joins the pieces of the
-whole report once, so the 10^6-item text is not copied at every nesting level.
+so identical inputs produce byte-identical reports. Every set reaches the
+report as a boolean vertex mask; its members are ``mask.nonzero()[0]``,
+ascending. Every integer sequence of a payload (eccentricity vectors, set
+members, differences) is an int ndarray from where it is computed to the
+encoder. The JSON text is byte-identical to ``json.dumps(..., indent=2)`` of
+the same values as lists, plus a trailing newline. ``_encode`` writes that
+layout directly: with an indent, ``json.dumps`` runs its pure-Python encoder,
+one generator frame per item of a 10^6-entry product eccentricity vector,
+while ``_encode`` writes an ndarray as one ``join`` over a table of decimal
+strings and joins the pieces of the whole report once, so the 10^6-item text
+is not copied at every nesting level.
 """
 
 from __future__ import annotations
@@ -83,12 +85,8 @@ def _write(obj, level: int, out: list[str]) -> None:
         out.append(closing + "]")
 
 
-def _sorted_ids(ids: frozenset[int]) -> np.ndarray:
-    return np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
-
-
 def _sets_dict(bp: BoundaryProfile) -> dict:
-    return {name: _sorted_ids(getattr(bp, field)) for name, field in SET_FIELDS.items()}
+    return {name: getattr(bp, field).nonzero()[0] for name, field in SET_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def analyze_product(
         payload["oracle_sets"] = _sets_dict(oracle_sets)
     if mode == "both":
         payload["differences"] = {
-            name: _sorted_ids(getattr(formula_sets, field) ^ getattr(oracle_sets, field))
+            name: (getattr(formula_sets, field) ^ getattr(oracle_sets, field)).nonzero()[0]
             for name, field in SET_FIELDS.items()
         }
     payload["set_provenance"] = {

@@ -136,23 +136,23 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
         if prop in formulas:
             formula_of, expected = formulas[prop]
             formula = formula_of(pair)
-            if formula != expected:
-                return f"symmetric difference {sorted(formula ^ expected)}"
+            if (formula != expected).any():
+                return f"symmetric difference {(formula ^ expected).nonzero()[0].tolist()}"
             return None
 
         if prop == "inclusion-chains":
             for tag, _, _, bp in sides:
-                if not bp.periphery <= (bp.contour & bp.eccentricity_set):
+                if (bp.periphery & ~(bp.contour & bp.eccentricity_set)).any():
                     return f"{tag}: periphery not within contour ∩ eccentricity set"
-                if not (bp.eccentricity_set | bp.contour) <= bp.boundary:
+                if ((bp.eccentricity_set | bp.contour) & ~bp.boundary).any():
                     return f"{tag}: eccentricity set ∪ contour not within boundary"
             return None
 
         if prop == "open-closed-equivalence":
             for tag, d, p, bp in sides:
-                if bp.boundary != boundary_set(p, d, "closed"):
+                if (bp.boundary != boundary_set(p, d, "closed")).any():
                     return f"{tag}: boundary differs between open and closed neighborhoods"
-                if bp.contour != contour_set(p, d, "closed"):
+                if (bp.contour != contour_set(p, d, "closed")).any():
                     return f"{tag}: contour differs between open and closed neighborhoods"
             return None
 

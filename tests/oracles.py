@@ -3,8 +3,9 @@
 Everything here is deliberately plain Python over (n, arcs) data: no package
 internals, different algorithms where possible (Floyd-Warshall instead of BFS,
 transitive closure instead of dual BFS). numpy appears only as the source of
-the PCG64 stream that `generate_one_draw_per_attempt` replays. Expected values
-in the test modules were frozen from these.
+the PCG64 stream that `generate_one_draw_per_attempt` replays, and in `ids`,
+which reads the library's boolean vertex masks. Expected values in the test
+modules were frozen from these.
 """
 
 from itertools import product as iproduct
@@ -42,18 +43,30 @@ def md_table(n, arcs):
     return [[max(d[i][j], d[j][i]) for j in range(n)] for i in range(n)]
 
 
-def neighbors(n, arcs, v):
-    return {b for a, b in arcs if a == v} | {a for a, b in arcs if b == v}
+def ids(mask):
+    """The members of a boolean vertex mask, as a set of ints.
+
+    Anything but a 1-D bool array fails, so a set assertion written through
+    `ids` cannot pass on an int array or on a frozenset.
+    """
+    assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim == 1, mask
+    return set(mask.nonzero()[0].tolist())
+
+
+def neighbors(n, arcs, v, closed=False):
+    """N(v), or N[v] = N(v) ∪ {v} when closed."""
+    own = {v} if closed else set()
+    return {b for a, b in arcs if a == v} | {a for a, b in arcs if b == v} | own
 
 
 def ecc_vector(md):
     return [max(row) for row in md]
 
 
-def boundary(n, arcs, md):
+def boundary(n, arcs, md, closed=False):
     members = set()
     for v in range(n):
-        nv = neighbors(n, arcs, v)
+        nv = neighbors(n, arcs, v, closed)
         for u in range(n):
             if all(md[u][w] <= md[u][v] for w in nv):
                 members.add(v)
@@ -88,9 +101,9 @@ def periphery(n, md):
     return {v for v in range(n) if ecc[v] == diam}
 
 
-def contour(n, arcs, md):
+def contour(n, arcs, md, closed=False):
     ecc = ecc_vector(md)
-    return {v for v in range(n) if all(ecc[u] <= ecc[v] for u in neighbors(n, arcs, v))}
+    return {v for v in range(n) if all(ecc[u] <= ecc[v] for u in neighbors(n, arcs, v, closed))}
 
 
 def strong_product_arcs(n1, arcs1, n2, arcs2):

@@ -39,6 +39,7 @@ from strongbounds import (
     undirected_formula_counterexample,
 )
 from strongbounds.cli import main as cli_main
+from oracles import ids
 
 ACCEPTANCE_SEED = 2026
 P_VALUES = (0.2, 0.4, 0.7)
@@ -118,15 +119,15 @@ def test_criterion_1_example_golden(d1_path, d2_path):
     doc2 = parse_edge_list(d2_path.read_text())
     p1 = metric_profile(doc1.digraph)
     p2 = metric_profile(doc2.digraph)
-    b1 = boundary_set(p1, doc1.digraph)
-    b2 = boundary_set(p2, doc2.digraph)
+    b1 = ids(boundary_set(p1, doc1.digraph))
+    b2 = ids(boundary_set(p2, doc2.digraph))
 
     pair = FactorPair.from_digraphs(doc1.digraph, doc2.digraph)
     prod, label = strong_product(doc1.digraph, doc2.digraph)
-    direct = boundary_set(metric_profile(prod), prod)
-    exact = product_boundary_exact_via_factors(pair)
-    formula = product_boundary_via_factors(pair)
-    listed = frozenset(label.encode(i, r) for i, r in EXAMPLE_PRODUCT_BOUNDARY)
+    direct = ids(boundary_set(metric_profile(prod), prod))
+    exact = ids(product_boundary_exact_via_factors(pair))
+    formula = ids(product_boundary_via_factors(pair))
+    listed = {label.encode(i, r) for i, r in EXAMPLE_PRODUCT_BOUNDARY}
     elapsed = time.perf_counter() - t0
 
     clauses = [
@@ -161,17 +162,17 @@ def test_criterion_2_formula_vs_direct_equivalence(corpus):
     mismatches = {"boundary": 0, "periphery": 0, "eccentric": 0, "contour": 0}
     paper_mismatches = {"boundary": 0, "contour": 0}
     for e in corpus.entries:
-        if e.formula.boundary != e.direct.boundary:
+        if ids(e.formula.boundary) != ids(e.direct.boundary):
             mismatches["boundary"] += 1
-        if e.formula.periphery != e.direct.periphery:
+        if ids(e.formula.periphery) != ids(e.direct.periphery):
             mismatches["periphery"] += 1
-        if e.formula.eccentric != e.direct.eccentricity_set:
+        if ids(e.formula.eccentric) != ids(e.direct.eccentricity_set):
             mismatches["eccentric"] += 1
-        if e.formula.contour != e.direct.contour:
+        if ids(e.formula.contour) != ids(e.direct.contour):
             mismatches["contour"] += 1
-        if e.paper.boundary != e.direct.boundary:
+        if ids(e.paper.boundary) != ids(e.direct.boundary):
             paper_mismatches["boundary"] += 1
-        if e.paper.contour != e.direct.contour:
+        if ids(e.paper.contour) != ids(e.direct.contour):
             paper_mismatches["contour"] += 1
     elapsed = corpus.build_seconds + (time.perf_counter() - t0)
 
@@ -237,9 +238,9 @@ def test_criterion_5_inclusion_chains(corpus):
     checked = 0
     for e in corpus.entries:
         for bp in (e.pair.b1, e.pair.b2, e.direct):
-            if not bp.periphery <= (bp.contour & bp.eccentricity_set):
+            if not ids(bp.periphery) <= (ids(bp.contour) & ids(bp.eccentricity_set)):
                 ok = False
-            if not (bp.eccentricity_set | bp.contour) <= bp.boundary:
+            if not (ids(bp.eccentricity_set) | ids(bp.contour)) <= ids(bp.boundary):
                 ok = False
             checked += 1
     _report("criterion 5 (inclusion chains)", ok, f"{checked} profiles incl. products")
@@ -251,9 +252,9 @@ def test_criterion_6_open_closed_equivalence(corpus):
     ok = True
     for e in corpus.entries:
         for d, p in ((e.d1, e.pair.p1), (e.d2, e.pair.p2), (e.prod, e.prod_profile)):
-            if boundary_set(p, d, "open") != boundary_set(p, d, "closed"):
+            if ids(boundary_set(p, d, "open")) != ids(boundary_set(p, d, "closed")):
                 ok = False
-            if contour_set(p, d, "open") != contour_set(p, d, "closed"):
+            if ids(contour_set(p, d, "open")) != ids(contour_set(p, d, "closed")):
                 ok = False
     _report("criterion 6 (open/closed neighborhood equivalence)", ok)
     assert ok
@@ -267,7 +268,7 @@ def test_criterion_7_undirected_formula_counterexample(d1_path, d2_path):
     label = pair.label
     report = undirected_formula_counterexample(pair)
     expected = {label.encode(0, 1), label.encode(2, 1)}  # (u1,v2), (u3,v2)
-    example_ok = report.difference == expected
+    example_ok = ids(report.difference) == expected
 
     master = np.random.default_rng(ACCEPTANCE_SEED + 77)
     empty = 0
@@ -284,13 +285,13 @@ def test_criterion_7_undirected_formula_counterexample(d1_path, d2_path):
             mirrored = {(a, b) for a, b in base.arcs} | {(b, a) for a, b in base.arcs}
             ds.append(from_arcs(base.n, sorted(mirrored)))
         r = undirected_formula_counterexample(FactorPair.from_digraphs(*ds))
-        if r.difference == frozenset():
+        if ids(r.difference) == set():
             empty += 1
     ok = example_ok and empty == total
     _report(
         "criterion 7 (undirected-formula counterexample)",
         ok,
-        f"example diff {sorted(report.difference)}; bidirected empty {empty}/{total}",
+        f"example diff {sorted(ids(report.difference))}; bidirected empty {empty}/{total}",
     )
     assert ok
 

@@ -21,9 +21,9 @@ from strongbounds import (
 from strongbounds.boundary import (
     NEIGHBORHOODS,
     _boundary_witnesses,
-    _neighbor_csr,
     _segment_max,
 )
+from oracles import ids
 from strategies import digraphs, strong_digraphs
 
 CYCLE5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -75,28 +75,28 @@ class TestIsBoundaryVertexOf:
 
 class TestGoldenSets:
     def test_boundary_d1(self, p1, d1):
-        assert boundary_set(p1, d1) == {0, 2}
+        assert ids(boundary_set(p1, d1)) == {0, 2}
 
     def test_boundary_d2(self, p2, d2):
-        assert boundary_set(p2, d2) == {0, 3, 4}
+        assert ids(boundary_set(p2, d2)) == {0, 3, 4}
 
     def test_eccentric_d1(self, p1):
-        assert eccentric_set(p1) == {0, 2}
+        assert ids(eccentric_set(p1)) == {0, 2}
 
     def test_eccentric_d2(self, p2):
-        assert eccentric_set(p2) == {0, 4}
+        assert ids(eccentric_set(p2)) == {0, 4}
 
     def test_periphery_d1(self, p1):
-        assert periphery_set(p1) == {0, 2}
+        assert ids(periphery_set(p1)) == {0, 2}
 
     def test_periphery_d2(self, p2):
-        assert periphery_set(p2) == {0, 4}
+        assert ids(periphery_set(p2)) == {0, 4}
 
     def test_contour_d1(self, p1, d1):
-        assert contour_set(p1, d1) == {0, 2}
+        assert ids(contour_set(p1, d1)) == {0, 2}
 
     def test_contour_d2(self, p2, d2):
-        assert contour_set(p2, d2) == {0, 4}
+        assert ids(contour_set(p2, d2)) == {0, 4}
 
 
 class TestDegenerateShapes:
@@ -104,31 +104,59 @@ class TestDegenerateShapes:
         arcs = [(a, b) for a in range(5) for b in range(5) if a != b]
         d = from_arcs(5, arcs)
         p = metric_profile(d)
-        assert boundary_set(p, d) == set(range(5))
+        assert ids(boundary_set(p, d)) == set(range(5))
 
     def test_directed_cycle_self_centered(self):
         d = from_arcs(5, CYCLE5)
         p = metric_profile(d)
         everything = set(range(5))
-        assert periphery_set(p) == everything
-        assert contour_set(p, d) == everything
+        assert ids(periphery_set(p)) == everything
+        assert ids(contour_set(p, d)) == everything
 
     def test_single_vertex_all_sets(self, k1):
         p = metric_profile(k1)
         bp = boundary_profile(p, k1)
-        assert bp.boundary == bp.contour == bp.eccentricity_set == bp.periphery == {0}
+        assert ids(bp.boundary) == ids(bp.contour) == ids(bp.eccentricity_set) == {0}
+        assert ids(bp.periphery) == {0}
 
 
 class TestAgainstOracles:
     @settings(max_examples=60)
-    @given(strong_digraphs())
-    def test_all_four_sets(self, d):
+    @given(strong_digraphs(), st.sampled_from(NEIGHBORHOODS))
+    def test_all_four_sets(self, d, neighborhood):
         md = oracles.md_table(d.n, d.arcs)
         p = metric_profile(d)
-        assert boundary_set(p, d) == oracles.boundary(d.n, d.arcs, md)
-        assert eccentric_set(p) == oracles.eccentric(d.n, md)
-        assert periphery_set(p) == oracles.periphery(d.n, md)
-        assert contour_set(p, d) == oracles.contour(d.n, d.arcs, md)
+        closed = neighborhood == "closed"
+        assert ids(boundary_set(p, d, neighborhood)) == oracles.boundary(d.n, d.arcs, md, closed)
+        assert ids(eccentric_set(p)) == oracles.eccentric(d.n, md)
+        assert ids(periphery_set(p)) == oracles.periphery(d.n, md)
+        assert ids(contour_set(p, d, neighborhood)) == oracles.contour(d.n, d.arcs, md, closed)
+
+
+def assert_open_closed_oracles_agree(n, arcs):
+    md = oracles.md_table(n, arcs)
+    assert oracles.boundary(n, arcs, md) == oracles.boundary(n, arcs, md, closed=True)
+    assert oracles.contour(n, arcs, md) == oracles.contour(n, arcs, md, closed=True)
+
+
+class TestOpenClosedIdentity:
+    """N(v) and N[v] give the same boundary and contour, by the oracles alone.
+
+    The w = v term of N[v] compares md(u, v) with itself and ecc(v) with
+    itself, so it never excludes v; `boundary` relies on this to compute the
+    closed form from the open rows.
+    """
+
+    @settings(max_examples=60)
+    @given(strong_digraphs())
+    def test_digraphs(self, d):
+        assert_open_closed_oracles_agree(d.n, d.arcs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strong_digraphs(max_n=4), strong_digraphs(max_n=4))
+    def test_products(self, a, b):
+        arcs = oracles.strong_product_arcs(a.n, a.arcs, b.n, b.arcs)
+        assert_open_closed_oracles_agree(a.n * b.n, arcs)
 
 
 class TestWitnesses:
@@ -142,7 +170,7 @@ class TestWitnesses:
         for v, u in enumerate(witness.tolist()):
             if u >= 0:
                 assert is_boundary_vertex_of(p, d, v, u)
-        members = set(np.flatnonzero(witness >= 0).tolist())
+        members = ids(witness >= 0)
         assert members == oracles.boundary(d.n, d.arcs, oracles.md_table(d.n, d.arcs))
 
     def test_fallback_finds_non_eccentric_member(self, monkeypatch):
@@ -150,7 +178,7 @@ class TestWitnesses:
         p = metric_profile(d)
         visited = record_fallback(monkeypatch)
         witness = _boundary_witnesses(p, d, "open")
-        assert 5 not in eccentric_set(p)
+        assert not eccentric_set(p)[5]
         assert 5 in visited
         assert witness[5] == 0  # the first u whose W entry passes
         assert is_boundary_vertex_of(p, d, 5, 0)
@@ -165,13 +193,13 @@ class TestWitnesses:
     )
     def test_all_candidates_pass(self, monkeypatch, d):
         visited = record_fallback(monkeypatch)
-        assert boundary_set(metric_profile(d), d) == set(range(d.n))
+        assert ids(boundary_set(metric_profile(d), d)) == set(range(d.n))
         assert visited == []
 
     def test_path_falls_back_on_exactly_the_non_members(self, monkeypatch):
         d = bidirected_path(30)
         visited = record_fallback(monkeypatch)
-        assert boundary_set(metric_profile(d), d) == {0, 29}
+        assert ids(boundary_set(metric_profile(d), d)) == {0, 29}
         assert visited == list(range(1, 29))
 
 
@@ -181,12 +209,8 @@ def csr_of_rows(rows):
     return indptr, np.array([x for r in rows for x in r], dtype=np.int64)
 
 
-# isolated vertices 0, 2 and 4: empty first, middle and last neighbour rows
-GAPPED = from_arcs(5, [(1, 3), (3, 1)])
-
-
 class TestNeighbourhoodReductions:
-    """_segment_max and the closed _neighbor_csr against plain-Python rows."""
+    """_segment_max against plain-Python rows, and the closed form on one vertex."""
 
     @settings(max_examples=200)
     @given(st.lists(st.lists(st.integers(-1, 40), max_size=4), min_size=1, max_size=8))
@@ -198,24 +222,13 @@ class TestNeighbourhoodReductions:
         expected = [max(r, default=-1) for r in rows]
         assert _segment_max(gathered, indptr).tolist() == expected
 
-    @settings(max_examples=100)
-    @given(digraphs(max_n=7), st.sampled_from(NEIGHBORHOODS))
-    @example(GAPPED, "closed")
-    @example(GAPPED, "open")
-    @example(from_arcs(1, []), "closed")
-    @example(from_arcs(1, []), "open")
-    def test_neighbor_csr_layout(self, d, neighborhood):
-        own = [[v] if neighborhood == "closed" else [] for v in range(d.n)]
-        rows = [own[v] + sorted(d.neighbors(v)) for v in range(d.n)]
-        indptr, indices = _neighbor_csr(d, neighborhood)
-        expected_ptr, expected_idx = csr_of_rows(rows)
-        assert indptr.tolist() == expected_ptr.tolist()
-        assert indices.tolist() == expected_idx.tolist()
-
     @pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
     def test_one_vertex(self, k1, neighborhood):
-        indptr, indices = _neighbor_csr(k1, neighborhood)
-        assert _segment_max(indices, indptr).tolist() == [0 if neighborhood == "closed" else -1]
+        """The empty open row reduces to -1; the closed form raises it to v's own value."""
+        p = metric_profile(k1)
+        assert _segment_max(p.ecc[k1.und_indices], k1.und_indptr).tolist() == [-1]
+        assert _boundary_witnesses(p, k1, neighborhood).tolist() == [0]
+        assert contour_set(p, k1, neighborhood).tolist() == [True]
 
 
 class TestProperties:
@@ -223,21 +236,29 @@ class TestProperties:
     @given(strong_digraphs())
     def test_inclusion_chains(self, d):
         bp = boundary_profile(metric_profile(d), d)
-        assert bp.periphery <= bp.contour & bp.eccentricity_set
-        assert bp.eccentricity_set | bp.contour <= bp.boundary
+        assert ids(bp.periphery) <= ids(bp.contour) & ids(bp.eccentricity_set)
+        assert ids(bp.eccentricity_set) | ids(bp.contour) <= ids(bp.boundary)
 
     @settings(max_examples=60)
     @given(strong_digraphs())
     def test_open_closed_equivalence(self, d):
         p = metric_profile(d)
-        assert boundary_set(p, d, "open") == boundary_set(p, d, "closed")
-        assert contour_set(p, d, "open") == contour_set(p, d, "closed")
+        assert ids(boundary_set(p, d, "open")) == ids(boundary_set(p, d, "closed"))
+        assert ids(contour_set(p, d, "open")) == ids(contour_set(p, d, "closed"))
 
     @settings(max_examples=60)
     @given(strong_digraphs())
     def test_all_sets_nonempty(self, d):
         bp = boundary_profile(metric_profile(d), d)
-        assert bp.boundary and bp.contour and bp.eccentricity_set and bp.periphery
+        assert ids(bp.boundary) and ids(bp.contour) and ids(bp.eccentricity_set)
+        assert ids(bp.periphery)
+
+    def test_profile_masks_are_read_only(self, p2, d2):
+        bp = boundary_profile(p2, d2)
+        for mask in (bp.boundary, bp.contour, bp.eccentricity_set, bp.periphery):
+            assert mask.dtype == bool and mask.shape == (d2.n,)
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
 
     def test_bad_neighborhood_flag(self, p1, d1):
         with pytest.raises(ValueError):

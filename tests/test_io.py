@@ -26,6 +26,7 @@ from strongbounds import (
 )
 from strongbounds.cli import main
 from strongbounds.report import _encode
+from oracles import ids
 from strategies import digraphs
 from conftest import DATA
 
@@ -209,10 +210,10 @@ class TestDot:
 
     def test_resolve_known_names(self, d1):
         sets = boundary_profile(metric_profile(d1), d1)
-        assert resolve_set_name(sets, "boundary") == sets.boundary
-        assert resolve_set_name(sets, "eccentricity") == sets.eccentricity_set
-        assert resolve_set_name(sets, "contour") == sets.contour
-        assert resolve_set_name(sets, "periphery") == sets.periphery
+        assert ids(resolve_set_name(sets, "boundary")) == ids(sets.boundary)
+        assert ids(resolve_set_name(sets, "eccentricity")) == ids(sets.eccentricity_set)
+        assert ids(resolve_set_name(sets, "contour")) == ids(sets.contour)
+        assert ids(resolve_set_name(sets, "periphery")) == ids(sets.periphery)
 
 
 class TestReports:

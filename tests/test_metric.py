@@ -15,7 +15,6 @@ from strongbounds import (
     from_arcs,
     max_distance,
     metric_profile,
-    sum_distance,
 )
 from strongbounds.digraph import find_unreachable_pair
 from strategies import bidirected_strong_digraphs, digraphs, strong_digraphs
@@ -112,18 +111,15 @@ class TestMaxAndSumDistance:
         m = all_pairs_directed(d2)
         assert max_distance(m, 0, 4) == 4
         assert max_distance(m, 4, 0) == 4
-        assert sum_distance(m, 0, 4) == 7
 
     def test_self_distance_zero(self, d2):
         m = all_pairs_directed(d2)
         for v in range(d2.n):
             assert max_distance(m, v, v) == 0
-            assert sum_distance(m, v, v) == 0
 
     def test_directed_cycle_values(self):
         m = all_pairs_directed(from_arcs(3, CYCLE3))
         assert max_distance(m, 0, 1) == 2
-        assert sum_distance(m, 0, 1) == 3
 
     def test_out_of_range(self, d2):
         m = all_pairs_directed(d2)

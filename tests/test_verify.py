@@ -1,7 +1,9 @@
 """The randomized verification harness itself."""
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 import oracles
@@ -189,12 +191,32 @@ class TestPlantedFault:
 
     def test_planted_wrong_formula_detected(self, monkeypatch):
         def wrong_periphery(pair):
-            return frozenset({0})
+            mask = np.zeros(pair.d1.n * pair.d2.n, dtype=bool)
+            mask[0] = True
+            return mask
 
         monkeypatch.setattr(verify_mod, "product_periphery_via_factors", wrong_periphery)
         summary = run_verification(trials=1, seed=3)
         assert not summary.ok
         assert summary.violation.prop == "periphery-formula-vs-direct"
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("contour", "periphery not within contour ∩ eccentricity set"),
+            ("boundary", "eccentricity set ∪ contour not within boundary"),
+        ],
+    )
+    def test_planted_inclusion_fault_detected(self, monkeypatch, field, message):
+        real = verify_mod.boundary_profile
+
+        def emptied(p, d):
+            return dataclasses.replace(real(p, d), **{field: np.zeros(d.n, dtype=bool)})
+
+        monkeypatch.setattr(verify_mod, "boundary_profile", emptied)
+        d = from_arcs(*CE_BOUNDARY_D1)
+        prop = "inclusion-chains"
+        assert _check_trial(d, d, (prop,))[prop] == f"product: {message}"
 
 
 class TestCheckTrialAgainstOracles:

@@ -26,7 +26,7 @@ from .io_formats import (
 )
 from .metric import metric_profile
 from .product import DEFAULT_VERTEX_BUDGET
-from .report import analyze_digraph, analyze_product
+from .report import AnalysisReport, analyze_digraph, analyze_product
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -53,10 +53,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(report: AnalysisReport, args: argparse.Namespace) -> None:
+    """Pretty text, or JSON streamed to ``--out`` or stdout without building the whole text.
+
+    The report is complete before the file is opened, so an analysis that
+    fails leaves no file behind.
+    """
+    if args.pretty:
+        _emit(report.to_text(), args.out)
+    elif args.out:
+        with open(args.out, "w", encoding="ascii") as f:
+            report.write_json(f)
+    else:
+        report.write_json(sys.stdout)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    report = analyze_digraph(doc, path=args.input, neighborhood=args.neighborhood)
-    _emit(report.to_text() if args.pretty else report.to_json(), args.out)
+    _emit_report(analyze_digraph(doc, path=args.input, neighborhood=args.neighborhood), args)
     return EXIT_OK
 
 
@@ -71,7 +85,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         neighborhood=args.neighborhood,
         paths=(args.input1, args.input2),
     )
-    _emit(report.to_text() if args.pretty else report.to_json(), args.out)
+    _emit_report(report, args)
     return EXIT_OK
 
 

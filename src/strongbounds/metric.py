@@ -63,9 +63,8 @@ def all_pairs_directed(d: Digraph) -> np.ndarray:
     table = _kernels.all_pairs_directed_dist(
         d.out_indptr, d.out_indices, d.in_indptr, d.in_indices, d.n
     )
-    holes = table == UNREACHABLE
-    if holes.any():
-        raise _not_strong(divmod(int(holes.argmax()), d.n))
+    if table.min() < 0:  # a hole; the n×n mask to locate it is built only then
+        raise _not_strong(divmod(int((table == UNREACHABLE).argmax()), d.n))
     table.setflags(write=False)
     return table
 

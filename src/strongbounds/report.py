@@ -6,19 +6,23 @@ report as a boolean vertex mask; its members are ``mask.nonzero()[0]``,
 ascending. Every integer sequence of a payload (eccentricity vectors, set
 members, differences) is an int ndarray from where it is computed to the
 encoder. The JSON text is byte-identical to ``json.dumps(..., indent=2)`` of
-the same values as lists, plus a trailing newline. ``_encode`` writes that
+the same values as lists, plus a trailing newline. ``_write`` writes that
 layout directly: with an indent, ``json.dumps`` runs its pure-Python encoder,
 one generator frame per item of a 10^6-entry product eccentricity vector,
-while ``_encode`` writes an ndarray as one ``join`` over a table of decimal
-strings and joins the pieces of the whole report once, so the 10^6-item text
-is not copied at every nesting level.
+while ``_write`` encodes an ndarray ``_CHUNK`` items at a time, one ``join``
+over a table of decimal strings per chunk, and hands each piece to a
+``write`` callable as it is made. ``AnalysisReport.write_json`` streams the
+pieces to a file, so encoding holds O(``_CHUNK``) text at a time however
+long the arrays are; ``to_json`` joins the same pieces into one string.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import TextIO
 
 import numpy as np
 
@@ -36,6 +40,11 @@ from .product import (
 )
 
 FORMAT_VERSION = 1
+
+# Items of an int ndarray encoded per piece: large enough that the per-chunk
+# numpy calls cost little, small enough that a chunk's text and temporaries
+# (a few MB) stay well below the report's size.
+_CHUNK = 1 << 16
 
 
 def _int_items(arr: np.ndarray) -> list[str]:
@@ -56,33 +65,43 @@ def _int_items(arr: np.ndarray) -> list[str]:
 def _encode(obj, level: int) -> str:
     """``json.dumps(obj, indent=2)`` of ``obj`` nested ``level`` deep, an int ndarray as a list."""
     out: list[str] = []
-    _write(obj, level, out)
+    _write(obj, level, out.append)
     return "".join(out)
 
 
-def _write(obj, level: int, out: list[str]) -> None:
-    """Append the pieces of ``_encode(obj, level)`` to ``out``; one ``join`` copies the text."""
+def _write(obj, level: int, write: Callable[[str], object]) -> None:
+    """Pass the text of ``_encode(obj, level)`` to ``write`` in pieces.
+
+    An int ndarray goes ``_CHUNK`` items per piece, so no piece and no
+    temporary grows with the array's length.
+    """
     if not isinstance(obj, (dict, list, np.ndarray)):
-        out.append(encode_basestring_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
+        write(encode_basestring_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
         return
     if len(obj) == 0:
-        out.append("{}" if isinstance(obj, dict) else "[]")
+        write("{}" if isinstance(obj, dict) else "[]")
         return
     inner, closing = "\n" + "  " * (level + 1), "\n" + "  " * level
     if isinstance(obj, dict):
-        out.append("{")
+        write("{")
         for i, (key, value) in enumerate(obj.items()):
-            out += ["," + inner if i else inner, encode_basestring_ascii(key), ": "]
-            _write(value, level + 1, out)
-        out.append(closing + "}")
+            write(("," + inner if i else inner) + encode_basestring_ascii(key) + ": ")
+            _write(value, level + 1, write)
+        write(closing + "}")
     elif isinstance(obj, np.ndarray):
-        out += ["[", inner, ("," + inner).join(_int_items(obj)), closing + "]"]
+        sep = "," + inner
+        write("[" + inner)
+        for start in range(0, len(obj), _CHUNK):
+            if start:
+                write(sep)
+            write(sep.join(_int_items(obj[start : start + _CHUNK])))
+        write(closing + "]")
     else:
-        out.append("[")
+        write("[")
         for i, value in enumerate(obj):
-            out.append("," + inner if i else inner)
-            _write(value, level + 1, out)
-        out.append(closing + "]")
+            write("," + inner if i else inner)
+            _write(value, level + 1, write)
+        write(closing + "]")
 
 
 def _sets_dict(bp: BoundaryProfile) -> dict:
@@ -96,17 +115,22 @@ class AnalysisReport:
     payload: dict
 
     def to_json(self) -> str:
-        """The payload as JSON text, plus a trailing newline.
+        """The payload as JSON text, plus a trailing newline: what ``write_json`` writes."""
+        return _encode(self.payload, 0) + "\n"
+
+    def write_json(self, stream: TextIO) -> None:
+        """Write the payload as JSON text, plus a trailing newline, to ``stream``.
 
         The text is byte-identical to ``json.dumps(..., indent=2)`` of the
-        payload with each int ndarray as a list. ``_encode`` matches ``json``
+        payload with each int ndarray as a list. ``_write`` matches ``json``
         because it is built from the same pieces: keys and strings go through
         ``encode_basestring_ascii``, other scalars through ``json.dumps``, the
         items of an int ndarray through ``str`` of Python ints (``json``
         writes ``int.__repr__``, the same text), joined with the same ``","``
         and ``": "`` separators and two-space indent.
         """
-        return _encode(self.payload, 0) + "\n"
+        _write(self.payload, 0, stream.write)
+        stream.write("\n")
 
     def to_text(self) -> str:
         return render_pretty(self.payload)

@@ -161,6 +161,7 @@ class TestStrictInput:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv + ["--out", str(Path(tmp, "out.json"))])
+            assert Path(tmp, "out.json").exists() == (code == 0)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
 
@@ -225,6 +226,21 @@ class TestProduct:
             assert err == (
                 f"error: factor {k}: digraph is not strongly connected: no directed path 1 -> 0\n"
             )
+
+    @pytest.mark.parametrize(
+        "factor2, options, code",
+        [("d2", ("--mode", "oracle", "--budget", "3"), 4), ("weak", (), 3)],
+        ids=["budget-exit-4", "not-strong-exit-3"],
+    )
+    def test_failed_product_leaves_no_out_file(
+        self, capsys, tmp_path, d1_path, d2_path, factor2, options, code
+    ):
+        weak = tmp_path / "weak.txt"
+        weak.write_text("n 2\n0 1\n")
+        out = tmp_path / "out.json"
+        second = {"d2": d2_path, "weak": weak}[factor2]
+        assert run(capsys, "product", str(d1_path), str(second), *options, "--out", str(out))[0] == code
+        assert not out.exists()
 
 
 class TestVerify:

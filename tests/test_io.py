@@ -1,8 +1,11 @@
 """Edge-list parsing/serialization, DOT export and JSON reports."""
 
 import hashlib
+import io
 import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from strongbounds import (
     ParseError,
     UnknownSetName,
     VertexOutOfRange,
+    analyze_product,
     boundary_profile,
     export_dot,
     from_arcs,
@@ -24,8 +28,9 @@ from strongbounds import (
     resolve_set_name,
     serialize_edge_list,
 )
+from strongbounds import report as report_module
 from strongbounds.cli import main
-from strongbounds.report import _encode
+from strongbounds.report import AnalysisReport, _encode, _write
 from oracles import ids
 from strategies import digraphs
 from conftest import DATA
@@ -61,6 +66,39 @@ _int_arrays = st.sampled_from([np.int32, np.int64]).flatmap(
         elements=st.one_of(st.integers(min_value=-3, max_value=40), hnp.from_dtype(np.dtype(dtype))),
     )
 )
+
+
+@st.composite
+def _chunked_arrays(draw):
+    """A small chunk size and an int array of 0, 1 or k·chunk ± 1 items.
+
+    Values come from a range no wider than one item apart (the offset digit
+    table) or spread over 10^6 (the distinct-value table).
+    """
+    chunk = draw(st.integers(min_value=1, max_value=4))
+    n = max(0, draw(st.integers(min_value=0, max_value=3)) * chunk + draw(st.integers(-1, 1)))
+    n = draw(st.sampled_from([0, 1, n]))
+    lo = draw(st.integers(min_value=-5, max_value=5))
+    hi = lo + draw(st.sampled_from([1, 10**6]))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return chunk, draw(hnp.arrays(dtype, n, elements=st.integers(lo, hi)))
+
+
+def _write_peak(arr: np.ndarray) -> tuple[int, int]:
+    """(tracemalloc peak, characters written) of ``_write`` of ``arr`` into a counting sink."""
+    written = 0
+
+    def count(piece: str) -> None:
+        nonlocal written
+        written += len(piece)
+
+    tracemalloc.start()
+    try:
+        _write({"eccentricity": arr}, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, written
 
 
 class TestParse:
@@ -256,6 +294,33 @@ class TestReports:
         assert _encode({"ids": arr}, 0) == json.dumps({"ids": values}, indent=2)
         assert _encode([arr, [arr]], 0) == json.dumps([values, [values]], indent=2)
 
+    @given(_chunked_arrays())
+    @example((3, np.array([], dtype=np.int64)))
+    @example((3, np.array([7, 8, 7, 8, 8, 7], dtype=np.int32)))  # two whole chunks
+    @example((3, np.array([0, 10**6, 5, -2, 9, 3, 4], dtype=np.int64)))  # 2 chunks + 1
+    def test_write_json_streams_to_json_in_chunks(self, case):
+        chunk, arr = case
+        values = arr.tolist()
+        report = AnalysisReport({"eccentricity": arr, "sets": {"boundary": arr, "none": arr[:0]}})
+        pieces: list[str] = []
+        stream = io.StringIO()
+        with mock.patch.object(report_module, "_CHUNK", chunk):
+            report.write_json(stream)
+            text = report.to_json()
+            _write(arr, 0, pieces.append)
+        expected = {"eccentricity": values, "sets": {"boundary": values, "none": []}}
+        assert stream.getvalue() == text == json.dumps(expected, indent=2) + "\n"
+        # no piece holds more than one chunk of items
+        assert max(piece.count(",") for piece in pieces) <= max(chunk - 1, 1)
+
+    @pytest.mark.parametrize("scale", [1, 10**6], ids=["offset-table", "distinct-table"])
+    def test_write_memory_does_not_grow_with_length(self, scale):
+        rng = np.random.default_rng(0)
+        small, large = (rng.integers(0, 1000, n) * scale for n in (10**6, 4 * 10**6))
+        (peak_small, written_small), (peak_large, written_large) = map(_write_peak, (small, large))
+        assert written_large > 3 * written_small
+        assert peak_large < 1.5 * peak_small
+
     # sha256 of to_json(), recorded before the payload's int sequences became ndarrays
     @pytest.mark.parametrize(
         "mode, neighborhood, sha256",
@@ -298,3 +363,16 @@ class TestReports:
         monkeypatch.chdir(DATA)  # the report names its input paths
         assert main(list(argv)) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    def test_cli_out_and_stdout_match_to_json(self, capsys, tmp_path):
+        # a 300-vertex bidirected path: the product's 90 000 eccentricities span two chunks
+        path = tmp_path / "path300.txt"
+        path.write_text("n 300\n" + "".join(f"{v} {v + 1}\n{v + 1} {v}\n" for v in range(299)))
+        argv = ["product", str(path), str(path), "--mode", "formula", "--budget", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        doc = parse_edge_list(path.read_text())
+        report = analyze_product(doc, doc, budget=1, paths=(str(path), str(path)))
+        assert report.payload["product"]["eccentricity"].size > report_module._CHUNK
+        assert (tmp_path / "out.json").read_text(encoding="ascii") == stdout == report.to_json()

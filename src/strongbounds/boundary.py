@@ -2,10 +2,9 @@
 
 All four extractions run from a precomputed MetricProfile; nothing here
 recomputes distances. Each set is a boolean mask over the vertices, true at
-the members. The neighborhood argument selects open N(v) (default) or closed
-N[v] = N(v) ∪ {v}. A max over N[v] is the max over N(v) and the value at v, so
-the closed form is `np.maximum` of the open one with the value at v, and no
-second neighbor list is built.
+the members. Neighbor maxima run over the open neighborhood N(v) only. The
+closed neighborhood N[v] = N(v) ∪ {v} is an alias, justified by the proof
+below: the "closed" label that reports carry selects no other code.
 
 The two forms give the same boundary and contour on every digraph. Proof. For
 a candidate witness u, the boundary compares the max of md(u, w) over the
@@ -24,8 +23,6 @@ import numpy as np
 
 from .digraph import Digraph
 from .metric import MetricProfile
-
-NEIGHBORHOODS = ("open", "closed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,13 +44,6 @@ class BoundaryProfile:
     def __post_init__(self):
         for mask in (self.boundary, self.contour, self.eccentricity_set, self.periphery):
             mask.setflags(write=False)
-
-
-def _is_closed(neighborhood: str) -> bool:
-    """True for the closed form; ValueError for an unknown name."""
-    if neighborhood not in NEIGHBORHOODS:
-        raise ValueError(f"neighborhood must be one of {NEIGHBORHOODS}, got {neighborhood!r}")
-    return neighborhood == "closed"
 
 
 def _segment_max(gathered: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -97,7 +87,7 @@ def is_boundary_vertex_of(p: MetricProfile, d: Digraph, v: int, u: int) -> bool:
     return bool((p.md[u, nbrs] <= p.md[u, v]).all())
 
 
-def _boundary_witnesses(p: MetricProfile, d: Digraph, neighborhood: str) -> np.ndarray:
+def _boundary_witnesses(p: MetricProfile, d: Digraph) -> np.ndarray:
     """A verified witness u for each boundary vertex v, -1 for a non-member.
 
     The candidate for v is argmax_u (md(u, v) - ecc(u)); it is a witness
@@ -105,7 +95,6 @@ def _boundary_witnesses(p: MetricProfile, d: Digraph, neighborhood: str) -> np.n
     definition at once, in O(m). Only the vertices whose candidate fails get
     their W column built, and there the witness is the first u that passes.
     """
-    closed = _is_closed(neighborhood)
     indptr, indices, md = d.und_indptr, d.und_indices, p.md
     # md is symmetric: row v of md - ecc[None, :] holds md(u, v) - ecc(u) for
     # every u, and a row argmax needs no transposed copy of the table
@@ -113,19 +102,15 @@ def _boundary_witnesses(p: MetricProfile, d: Digraph, neighborhood: str) -> np.n
     at_v = md[cand, np.arange(d.n)]
     rows = np.repeat(np.arange(d.n), indptr[1:] - indptr[:-1])
     worst = _segment_max(md[cand[rows], indices], indptr)
-    if closed:
-        worst = np.maximum(worst, at_v)
     witness = np.where(worst <= at_v, cand, -1)
     for v, col in _worst_columns(md, indptr, indices, (witness < 0).nonzero()[0].tolist()):
-        if closed:
-            col = np.maximum(col, md[v])
         hits = (col <= md[v]).nonzero()[0]
         if hits.size:
             witness[v] = hits[0]
     return witness
 
 
-def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> np.ndarray:
+def boundary_set(p: MetricProfile, d: Digraph) -> np.ndarray:
     """Mask of the v admitting a witness u with md(u,w) <= md(u,v) for all w in N(v).
 
     The members are the vertices with a witness in `_boundary_witnesses`,
@@ -134,7 +119,7 @@ def boundary_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> np
     which only matters for the single-vertex digraph (empty neighbor list,
     vacuously boundary).
     """
-    return _boundary_witnesses(p, d, neighborhood) >= 0
+    return _boundary_witnesses(p, d) >= 0
 
 
 def _eccentric_mask(p: MetricProfile, at_least: int = 0) -> np.ndarray:
@@ -158,19 +143,13 @@ def periphery_set(p: MetricProfile) -> np.ndarray:
     return p.ecc == p.diameter
 
 
-def contour_set(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> np.ndarray:
+def contour_set(p: MetricProfile, d: Digraph) -> np.ndarray:
     """Mask of the vertices whose eccentricity no neighbor exceeds."""
-    worst = _segment_max(p.ecc[d.und_indices], d.und_indptr)
-    if _is_closed(neighborhood):
-        worst = np.maximum(worst, p.ecc)
-    return worst <= p.ecc
+    return _segment_max(p.ecc[d.und_indices], d.und_indptr) <= p.ecc
 
 
-def boundary_profile(p: MetricProfile, d: Digraph, neighborhood: str = "open") -> BoundaryProfile:
+def boundary_profile(p: MetricProfile, d: Digraph) -> BoundaryProfile:
     """All four sets bundled."""
     return BoundaryProfile(
-        boundary=boundary_set(p, d, neighborhood),
-        contour=contour_set(p, d, neighborhood),
-        eccentricity_set=eccentric_set(p),
-        periphery=periphery_set(p),
+        boundary_set(p, d), contour_set(p, d), eccentric_set(p), periphery_set(p)
     )

@@ -26,7 +26,7 @@ from .io_formats import (
 )
 from .metric import metric_profile
 from .product import DEFAULT_VERTEX_BUDGET
-from .report import AnalysisReport, analyze_digraph, analyze_product
+from .report import NEIGHBORHOODS, AnalysisReport, analyze_digraph, analyze_product
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -126,7 +126,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     highlight = None
     if args.set != "none":
         profile = metric_profile(doc.digraph)
-        sets = boundary_profile(profile, doc.digraph, args.neighborhood)
+        sets = boundary_profile(profile, doc.digraph)
         highlight = resolve_set_name(sets, args.set)
     text = export_dot(
         doc.digraph,
@@ -151,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true", help="human-readable tables")
         p.add_argument(
             "--neighborhood",
-            choices=("open", "closed"),
+            choices=NEIGHBORHOODS,
             default="open",
-            help="neighborhood variant for boundary/contour (default open)",
+            help="the report's neighborhood label; both give the same sets (default open)",
         )
 
     p_an = sub.add_parser("analyze", help="metric profile and boundary-type sets of one digraph")
@@ -208,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="boundary-type set to highlight",
     )
-    p_ex.add_argument(
-        "--neighborhood", choices=("open", "closed"), default="open"
-    )
+    p_ex.add_argument("--neighborhood", choices=NEIGHBORHOODS, default="open")
     p_ex.add_argument("--out")
     p_ex.set_defaults(func=_cmd_export)
 

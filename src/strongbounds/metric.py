@@ -18,7 +18,7 @@ from .errors import NotStrong, VertexOutOfRange
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricProfile:
     """Max-distance table with eccentricities, radius, and diameter.
 

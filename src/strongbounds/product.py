@@ -59,7 +59,7 @@ class ProductLabel:
         return divmod(x, self.n2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorPair:
     """Both factors with their metric and boundary profiles precomputed."""
 
@@ -71,7 +71,7 @@ class FactorPair:
     b2: BoundaryProfile
 
     @classmethod
-    def from_digraphs(cls, d1: Digraph, d2: Digraph, neighborhood: str = "open") -> "FactorPair":
+    def from_digraphs(cls, d1: Digraph, d2: Digraph) -> "FactorPair":
         """Profile both factors; NotStrong, prefixed "factor 1:" or "factor 2:", if one is not."""
         profiles = []
         for k, d in enumerate((d1, d2), 1):
@@ -80,14 +80,7 @@ class FactorPair:
             except NotStrong as exc:
                 raise NotStrong(f"factor {k}: {exc}", pair=exc.pair) from None
         p1, p2 = profiles
-        return cls(
-            d1=d1,
-            d2=d2,
-            p1=p1,
-            p2=p2,
-            b1=boundary_profile(p1, d1, neighborhood),
-            b2=boundary_profile(p2, d2, neighborhood),
-        )
+        return cls(d1, d2, p1, p2, boundary_profile(p1, d1), boundary_profile(p2, d2))
 
     @property
     def label(self) -> ProductLabel:
@@ -162,7 +155,7 @@ def product_eccentricities(f: FactorPair) -> np.ndarray:
     return np.maximum.outer(f.p1.ecc, f.p2.ecc).ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductMetricSummary:
     """Product-scale metric facts computable without any product-sized table."""
 

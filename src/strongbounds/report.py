@@ -41,6 +41,9 @@ from .product import (
 
 FORMAT_VERSION = 1
 
+# Report labels only: N(v) and N[v] give the same sets (proof in `boundary`).
+NEIGHBORHOODS = ("open", "closed")
+
 # Items of an int ndarray encoded per piece: large enough that the per-chunk
 # numpy calls cost little, small enough that a chunk's text and temporaries
 # (a few MB) stay well below the report's size.
@@ -108,7 +111,12 @@ def _sets_dict(bp: BoundaryProfile) -> dict:
     return {name: getattr(bp, field).nonzero()[0] for name, field in SET_FIELDS.items()}
 
 
-@dataclass(frozen=True)
+def _check_neighborhood(neighborhood: str) -> None:
+    if neighborhood not in NEIGHBORHOODS:
+        raise ValueError(f"neighborhood must be one of {NEIGHBORHOODS}, got {neighborhood!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class AnalysisReport:
     """Single digraph or product analysis, rendered to JSON or a text table."""
 
@@ -139,10 +147,11 @@ class AnalysisReport:
 def analyze_digraph(
     doc: EdgeListDocument, path: str = "<memory>", neighborhood: str = "open"
 ) -> AnalysisReport:
-    """Full metric and boundary-type analysis of one strong digraph."""
+    """Full metric and boundary-type analysis of one strong digraph; neighborhood is a label."""
+    _check_neighborhood(neighborhood)
     d = doc.digraph
     profile = metric_profile(d)
-    sets = boundary_profile(profile, d, neighborhood)
+    sets = boundary_profile(profile, d)
     payload = {
         "kind": "digraph-analysis",
         "format_version": FORMAT_VERSION,
@@ -176,13 +185,14 @@ def analyze_product(
 
     Formula mode never builds the product; oracle mode builds it and runs the
     definition-level machinery; both mode runs the two and reports their
-    per-set symmetric differences.
+    per-set symmetric differences. neighborhood only labels the report.
     """
+    _check_neighborhood(neighborhood)
     if mode not in ("formula", "oracle", "both"):
         raise ValueError(f"mode must be formula|oracle|both, got {mode!r}")
     budget = DEFAULT_VERTEX_BUDGET if budget is None else budget
     d1, d2 = doc1.digraph, doc2.digraph
-    pair = FactorPair.from_digraphs(d1, d2, neighborhood)
+    pair = FactorPair.from_digraphs(d1, d2)
     summary = product_metric_summary(pair)
 
     def factor_entry(path: str, doc: EdgeListDocument, profile) -> dict:
@@ -223,7 +233,7 @@ def analyze_product(
     if mode in ("oracle", "both"):
         prod, _ = strong_product(d1, d2, budget=budget)
         prod_profile = metric_profile(prod)
-        oracle_sets = boundary_profile(prod_profile, prod, neighborhood)
+        oracle_sets = boundary_profile(prod_profile, prod)
         payload["oracle_sets"] = _sets_dict(oracle_sets)
     if mode == "both":
         payload["differences"] = {

@@ -13,6 +13,9 @@ characterizations DOES get falsified here: on the seed-0 corpus of
 contour form on 190/200. The harness is the instrument that shows it, not a
 bug in itself. Periphery, eccentricity-set, and all metric identities are
 expected to pass always.
+
+`open-closed-equivalence` checks the library's open-form boundary and contour
+against `_closed_sets`, a definition-level reference over N[v] = N(v) ∪ {v}.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import boundary_profile, boundary_set, contour_set
+from .boundary import boundary_profile
 from .digraph import Digraph, _adjacency_is_strong, _from_out_keys
 from .errors import InvalidConfig, SizeOverflow
 from .generator import GeneratorConfig, generate_strong_digraph
-from .metric import metric_profile
+from .metric import MetricProfile, metric_profile
 from .product import (
     FactorPair,
     product_boundary_via_factors,
@@ -91,6 +94,22 @@ def _check_metric_axioms(md: np.ndarray) -> str | None:
     return None
 
 
+def _closed_sets(p: MetricProfile, d: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary and contour masks over N[v] = N(v) ∪ {v}, from the definitions.
+
+    Shares no code with the boundary scan. An eccentric v is a boundary member,
+    witnessed by the u it is eccentric for: md(u, w) <= ecc(u) = md(u, v). Every
+    other v is tested against all u. O(n·(m + n)) work in all.
+    """
+    ptr = d.und_indptr + np.arange(d.n + 1)  # row v of rows: v itself, then N(v)
+    rows = np.insert(d.und_indices, d.und_indptr[:-1], np.arange(d.n))
+    boundary = (p.md == p.ecc[:, None]).any(axis=0)
+    bounds = ptr.tolist()
+    for v in (~boundary).nonzero()[0].tolist():
+        boundary[v] = (p.md[:, rows[bounds[v]:bounds[v + 1]]].max(axis=1) <= p.md[:, v]).any()
+    return boundary, np.maximum.reduceat(p.ecc[rows], ptr[:-1]) <= p.ecc
+
+
 def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, str | None]:
     """Per property: None when it holds for this factor pair, else a description.
 
@@ -150,10 +169,9 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
 
         if prop == "open-closed-equivalence":
             for tag, d, p, bp in sides:
-                if (bp.boundary != boundary_set(p, d, "closed")).any():
-                    return f"{tag}: boundary differs between open and closed neighborhoods"
-                if (bp.contour != contour_set(p, d, "closed")).any():
-                    return f"{tag}: contour differs between open and closed neighborhoods"
+                for name, closed in zip(("boundary", "contour"), _closed_sets(p, d)):
+                    if (getattr(bp, name) != closed).any():
+                        return f"{tag}: {name} differs between open and closed neighborhoods"
             return None
 
         raise ValueError(f"unknown property {prop!r}")

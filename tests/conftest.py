@@ -24,6 +24,11 @@ CE_BOUNDARY_D2 = (6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 4), (2, 3), (3, 0), (3
 CE_CONTOUR_D1 = (4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
 CE_CONTOUR_D2 = (5, [(0, 1), (0, 3), (1, 2), (2, 0), (3, 0), (3, 4), (4, 3)])
 
+# GeneratorConfig(n=6, p=0.15, seed=3): vertex 5 is a boundary vertex that is
+# eccentric for nobody (its witnesses are 0 and 4)
+NON_ECCENTRIC_MEMBER = (6, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 1), (3, 4), (3, 5), (4, 5),
+                            (5, 0)])
+
 
 @pytest.fixture(scope="session")
 def d1():

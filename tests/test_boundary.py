@@ -16,21 +16,17 @@ from strongbounds import (
     is_boundary_vertex_of,
     is_strong,
     metric_profile,
+    parse_edge_list,
     periphery_set,
+    strong_product,
 )
-from strongbounds.boundary import (
-    NEIGHBORHOODS,
-    _boundary_witnesses,
-    _segment_max,
-)
+from strongbounds.boundary import _boundary_witnesses, _segment_max
+from strongbounds.report import analyze_digraph, analyze_product
+from conftest import NON_ECCENTRIC_MEMBER
 from oracles import ids
 from strategies import digraphs, strong_digraphs
 
 CYCLE5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-# GeneratorConfig(n=6, p=0.15, seed=3): vertex 5 is a boundary vertex that is
-# eccentric for nobody (its witnesses are 0 and 4)
-NON_ECCENTRIC_MEMBER = (6, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 1), (3, 4), (3, 5), (4, 5),
-                            (5, 0)])
 
 
 def bidirected_path(n):
@@ -122,15 +118,16 @@ class TestDegenerateShapes:
 
 class TestAgainstOracles:
     @settings(max_examples=60)
-    @given(strong_digraphs(), st.sampled_from(NEIGHBORHOODS))
-    def test_all_four_sets(self, d, neighborhood):
+    @given(strong_digraphs())
+    def test_all_four_sets(self, d):
+        """The one library boundary and contour equal both oracle forms, N(v) and N[v]."""
         md = oracles.md_table(d.n, d.arcs)
         p = metric_profile(d)
-        closed = neighborhood == "closed"
-        assert ids(boundary_set(p, d, neighborhood)) == oracles.boundary(d.n, d.arcs, md, closed)
+        for closed in (False, True):
+            assert ids(boundary_set(p, d)) == oracles.boundary(d.n, d.arcs, md, closed)
+            assert ids(contour_set(p, d)) == oracles.contour(d.n, d.arcs, md, closed)
         assert ids(eccentric_set(p)) == oracles.eccentric(d.n, md)
         assert ids(periphery_set(p)) == oracles.periphery(d.n, md)
-        assert ids(contour_set(p, d, neighborhood)) == oracles.contour(d.n, d.arcs, md, closed)
 
 
 def assert_open_closed_oracles_agree(n, arcs):
@@ -143,8 +140,8 @@ class TestOpenClosedIdentity:
     """N(v) and N[v] give the same boundary and contour, by the oracles alone.
 
     The w = v term of N[v] compares md(u, v) with itself and ecc(v) with
-    itself, so it never excludes v; `boundary` relies on this to compute the
-    closed form from the open rows.
+    itself, so it never excludes v; `boundary` relies on this to compute
+    over N(v) only and treat N[v] as an alias.
     """
 
     @settings(max_examples=60)
@@ -163,10 +160,10 @@ class TestWitnesses:
     """The witness array behind boundary_set: candidates first, W columns only where they fail."""
 
     @settings(max_examples=100)
-    @given(digraphs().filter(is_strong), st.sampled_from(NEIGHBORHOODS))
-    def test_every_witness_checks_out(self, d, neighborhood):
+    @given(digraphs().filter(is_strong))
+    def test_every_witness_checks_out(self, d):
         p = metric_profile(d)
-        witness = _boundary_witnesses(p, d, neighborhood)
+        witness = _boundary_witnesses(p, d)
         for v, u in enumerate(witness.tolist()):
             if u >= 0:
                 assert is_boundary_vertex_of(p, d, v, u)
@@ -177,7 +174,7 @@ class TestWitnesses:
         d = from_arcs(*NON_ECCENTRIC_MEMBER)
         p = metric_profile(d)
         visited = record_fallback(monkeypatch)
-        witness = _boundary_witnesses(p, d, "open")
+        witness = _boundary_witnesses(p, d)
         assert not eccentric_set(p)[5]
         assert 5 in visited
         assert witness[5] == 0  # the first u whose W entry passes
@@ -210,7 +207,7 @@ def csr_of_rows(rows):
 
 
 class TestNeighbourhoodReductions:
-    """_segment_max against plain-Python rows, and the closed form on one vertex."""
+    """_segment_max against plain-Python rows, and the empty row of one vertex."""
 
     @settings(max_examples=200)
     @given(st.lists(st.lists(st.integers(-1, 40), max_size=4), min_size=1, max_size=8))
@@ -222,13 +219,12 @@ class TestNeighbourhoodReductions:
         expected = [max(r, default=-1) for r in rows]
         assert _segment_max(gathered, indptr).tolist() == expected
 
-    @pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
-    def test_one_vertex(self, k1, neighborhood):
-        """The empty open row reduces to -1; the closed form raises it to v's own value."""
+    def test_one_vertex(self, k1):
+        """The empty row reduces to -1, and the vertex is in its boundary and contour."""
         p = metric_profile(k1)
         assert _segment_max(p.ecc[k1.und_indices], k1.und_indptr).tolist() == [-1]
-        assert _boundary_witnesses(p, k1, neighborhood).tolist() == [0]
-        assert contour_set(p, k1, neighborhood).tolist() == [True]
+        assert _boundary_witnesses(p, k1).tolist() == [0]
+        assert contour_set(p, k1).tolist() == [True]
 
 
 class TestProperties:
@@ -239,12 +235,15 @@ class TestProperties:
         assert ids(bp.periphery) <= ids(bp.contour) & ids(bp.eccentricity_set)
         assert ids(bp.eccentricity_set) | ids(bp.contour) <= ids(bp.boundary)
 
-    @settings(max_examples=60)
-    @given(strong_digraphs())
-    def test_open_closed_equivalence(self, d):
-        p = metric_profile(d)
-        assert ids(boundary_set(p, d, "open")) == ids(boundary_set(p, d, "closed"))
-        assert ids(contour_set(p, d, "open")) == ids(contour_set(p, d, "closed"))
+    @settings(max_examples=30, deadline=None)
+    @given(strong_digraphs(max_n=4), strong_digraphs(max_n=4))
+    def test_open_closed_equivalence(self, a, b):
+        """The library's sets on a built product equal the N[v] definitions."""
+        prod, _ = strong_product(a, b)
+        p = metric_profile(prod)
+        md = oracles.md_table(prod.n, prod.arcs)
+        assert ids(boundary_set(p, prod)) == oracles.boundary(prod.n, prod.arcs, md, closed=True)
+        assert ids(contour_set(p, prod)) == oracles.contour(prod.n, prod.arcs, md, closed=True)
 
     @settings(max_examples=60)
     @given(strong_digraphs())
@@ -260,6 +259,12 @@ class TestProperties:
             with pytest.raises(ValueError):
                 mask[0] = not mask[0]
 
-    def test_bad_neighborhood_flag(self, p1, d1):
+    def test_bad_neighborhood_flag(self, p1, d1, d1_path):
+        """The reports check the neighborhood label; the set functions take none."""
+        doc = parse_edge_list(d1_path.read_text())
         with pytest.raises(ValueError):
-            boundary_set(p1, d1, "semiclosed")
+            analyze_digraph(doc, neighborhood="semiclosed")
+        with pytest.raises(ValueError):
+            analyze_product(doc, doc, neighborhood="semiclosed")
+        with pytest.raises(TypeError):
+            boundary_set(p1, d1, "closed")

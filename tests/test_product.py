@@ -44,6 +44,7 @@ from strongbounds import (
 from strongbounds import digraph as digraph_mod
 from strongbounds import product as product_mod
 from strongbounds.product import _witness_reach
+from strongbounds.report import analyze_product
 from conftest import (
     CE_BOUNDARY_D1,
     CE_BOUNDARY_D2,
@@ -528,3 +529,28 @@ class TestUndirectedFormulaReport:
         # and there the identity is genuinely the boundary of the product
         prod, _ = strong_product(a, b)
         assert ids(report.candidate) == ids(boundary_set(metric_profile(prod), prod))
+
+
+class TestIdentitySemantics:
+    """Dataclasses that hold ndarrays compare and hash by identity, never elementwise."""
+
+    @pytest.mark.parametrize(
+        "kind", ["MetricProfile", "FactorPair", "ProductMetricSummary", "AnalysisReport"]
+    )
+    def test_eq_and_hash_return_values(self, kind, d1, d2, d1_path, d2_path):
+        docs = [strongbounds.parse_edge_list(path.read_text()) for path in (d1_path, d2_path)]
+        make = {
+            "MetricProfile": lambda: metric_profile(d2),
+            "FactorPair": lambda: FactorPair.from_digraphs(d1, d2),
+            "ProductMetricSummary": lambda: product_metric_summary(
+                FactorPair.from_digraphs(d1, d2)
+            ),
+            "AnalysisReport": lambda: analyze_product(*docs),
+        }[kind]
+        a, b = make(), make()
+        assert type(a).__name__ == kind
+        assert (a == a) is True
+        assert (a == b) is False
+        assert (a != b) is True
+        assert isinstance(hash(a), int)
+

@@ -5,14 +5,31 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 import strongbounds.verify as verify_mod
-from strongbounds import InvalidConfig, from_arcs, is_strong, parse_edge_list, strong_product
+from strongbounds import (
+    InvalidConfig,
+    eccentric_set,
+    from_arcs,
+    is_strong,
+    metric_profile,
+    parse_edge_list,
+    strong_product,
+)
 from strongbounds.cli import EXIT_VIOLATION, main
 from strongbounds.digraph import _from_out_keys
-from strongbounds.verify import PROPERTIES, _check_trial, _minimize, run_verification
-from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2
+from strongbounds.verify import (
+    PROPERTIES,
+    _check_trial,
+    _closed_sets,
+    _minimize,
+    run_verification,
+)
+from conftest import CE_BOUNDARY_D1, CE_BOUNDARY_D2, NON_ECCENTRIC_MEMBER
+from oracles import ids
+from strategies import strong_digraphs
 
 
 class TestConfig:
@@ -236,3 +253,52 @@ class TestCheckTrialAgainstOracles:
         md = oracles.md_table(n, arcs)
         true_boundary = oracles.boundary(n, arcs, md)
         assert 12 in true_boundary
+
+
+def assert_closed_sets_match_oracles(d):
+    p = metric_profile(d)
+    md = oracles.md_table(d.n, d.arcs)
+    boundary, contour = _closed_sets(p, d)
+    assert ids(boundary) == oracles.boundary(d.n, d.arcs, md, closed=True)
+    assert ids(contour) == oracles.contour(d.n, d.arcs, md, closed=True)
+    return boundary
+
+
+class TestClosedReference:
+    """_closed_sets, the N[v] reference that open-closed-equivalence holds the library to."""
+
+    @settings(max_examples=60)
+    @given(strong_digraphs())
+    def test_digraphs(self, d):
+        assert_closed_sets_match_oracles(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strong_digraphs(max_n=4), strong_digraphs(max_n=4))
+    def test_products(self, a, b):
+        assert_closed_sets_match_oracles(strong_product(a, b)[0])
+
+    def test_one_vertex(self, k1):
+        assert assert_closed_sets_match_oracles(k1).tolist() == [True]
+
+    def test_non_eccentric_member(self):
+        """Vertex 5 is eccentric for nobody, so only the all-u test can admit it."""
+        d = from_arcs(*NON_ECCENTRIC_MEMBER)
+        assert not eccentric_set(metric_profile(d))[5]
+        assert assert_closed_sets_match_oracles(d)[5]
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["boundary", "contour"])
+    def test_flipped_vertex_is_reported(self, monkeypatch, field):
+        real = verify_mod._closed_sets
+
+        def flipped(p, d):
+            sets = real(p, d)
+            sets[field][0] = not sets[field][0]
+            return sets
+
+        monkeypatch.setattr(verify_mod, "_closed_sets", flipped)
+        d1, d2 = from_arcs(*CE_BOUNDARY_D1), from_arcs(*CE_BOUNDARY_D2)
+        prop = "open-closed-equivalence"
+        name = ("boundary", "contour")[field]
+        assert _check_trial(d1, d2, (prop,))[prop] == (
+            f"D1: {name} differs between open and closed neighborhoods"
+        )

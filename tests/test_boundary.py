@@ -21,7 +21,7 @@ from strongbounds import (
     strong_product,
 )
 from strongbounds.boundary import _boundary_witnesses, _segment_max
-from strongbounds.report import analyze_digraph, analyze_product
+from strongbounds.report import NEIGHBORHOODS, analyze_digraph, analyze_product
 from conftest import NON_ECCENTRIC_MEMBER
 from oracles import ids
 from strategies import digraphs, strong_digraphs
@@ -219,12 +219,18 @@ class TestNeighbourhoodReductions:
         expected = [max(r, default=-1) for r in rows]
         assert _segment_max(gathered, indptr).tolist() == expected
 
-    def test_one_vertex(self, k1):
-        """The empty row reduces to -1, and the vertex is in its boundary and contour."""
+    @pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
+    def test_one_vertex(self, k1, neighborhood):
+        """The empty row reduces to -1; the vertex is in its boundary and contour
+        by the library scan and by the oracle under N(v) and N[v] alike."""
         p = metric_profile(k1)
         assert _segment_max(p.ecc[k1.und_indices], k1.und_indptr).tolist() == [-1]
         assert _boundary_witnesses(p, k1).tolist() == [0]
         assert contour_set(p, k1).tolist() == [True]
+        closed = neighborhood == "closed"
+        md = oracles.md_table(k1.n, k1.arcs)
+        assert oracles.boundary(k1.n, k1.arcs, md, closed=closed) == ids(boundary_set(p, k1)) == {0}
+        assert oracles.contour(k1.n, k1.arcs, md, closed=closed) == ids(contour_set(p, k1)) == {0}
 
 
 class TestProperties:

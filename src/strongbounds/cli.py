@@ -10,6 +10,7 @@ for now stands in for checking table sizes up front).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -46,31 +47,25 @@ def _read_document(path: str) -> EdgeListDocument:
     return parse_edge_list(text)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+def _emit(output: AnalysisReport | str, out: str | None) -> None:
+    """Write ``output`` to the ``--out`` file, as ASCII, or to stdout.
 
-
-def _emit_report(report: AnalysisReport, args: argparse.Namespace) -> None:
-    """Pretty text, or JSON streamed to ``--out`` or stdout without building the whole text.
-
-    The report is complete before the file is opened, so an analysis that
-    fails leaves no file behind.
+    A report streams its JSON through ``write_json`` without building the
+    whole text; pretty, edge-list and DOT text comes built. Every command
+    finishes its output before this opens the file, so a run that fails
+    leaves no file behind.
     """
-    if args.pretty:
-        _emit(report.to_text(), args.out)
-    elif args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            report.write_json(f)
-    else:
-        report.write_json(sys.stdout)
+    with open(out, "w", encoding="ascii") if out else contextlib.nullcontext(sys.stdout) as f:
+        if isinstance(output, str):
+            f.write(output)
+        else:
+            output.write_json(f)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    _emit_report(analyze_digraph(doc, path=args.input, neighborhood=args.neighborhood), args)
+    report = analyze_digraph(doc, path=args.input, neighborhood=args.neighborhood)
+    _emit(report.to_text() if args.pretty else report, args.out)
     return EXIT_OK
 
 
@@ -85,7 +80,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         neighborhood=args.neighborhood,
         paths=(args.input1, args.input2),
     )
-    _emit_report(report, args)
+    _emit(report.to_text() if args.pretty else report, args.out)
     return EXIT_OK
 
 
@@ -123,18 +118,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    highlight = None
+    highlight = highlight_name = None
     if args.set != "none":
-        profile = metric_profile(doc.digraph)
-        sets = boundary_profile(profile, doc.digraph)
-        highlight = resolve_set_name(sets, args.set)
-    text = export_dot(
-        doc.digraph,
-        labels=doc.labels,
-        highlight=highlight,
-        highlight_name=None if args.set == "none" else args.set,
-    )
-    _emit(text, args.out)
+        sets = boundary_profile(metric_profile(doc.digraph), doc.digraph)
+        highlight, highlight_name = resolve_set_name(sets, args.set), args.set
+    _emit(export_dot(doc.digraph, doc.labels, highlight, highlight_name), args.out)
     return EXIT_OK
 
 

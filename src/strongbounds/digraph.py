@@ -137,9 +137,11 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     """Build a digraph, rejecting loops, duplicates, and out-of-range ids.
 
     arcs is any iterable of (tail, head) pairs or an (m, 2) integer array.
-    Malformed input is surfaced rather than silently repaired: a repeated
-    ordered pair raises ParallelArc even though the arc set could absorb it.
-    The error names the first bad arc in input order.
+    This is the one place the arc rules are checked; `parse_edge_list` leaves
+    them here. Malformed input is surfaced rather than silently repaired: a
+    repeated ordered pair raises ParallelArc even though the arc set could
+    absorb it. The error names the first bad arc in input order (for a
+    repeat, the later copy) and carries its 0-based position as ``index``.
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
@@ -165,10 +167,10 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
         k = int(np.argmax(bad))
         a, b = int(tails[k]), int(heads[k])
         if outside[k]:
-            raise VertexOutOfRange(f"arc ({a},{b}) has an endpoint outside 0..{n - 1}")
+            raise VertexOutOfRange(f"arc ({a},{b}) has an endpoint outside 0..{n - 1}", k)
         if a == b:
-            raise LoopArc(f"loop arc ({a},{a}) not allowed")
-        raise ParallelArc(f"duplicate arc ({a},{b})")
+            raise LoopArc(f"loop arc ({a},{a}) not allowed", k)
+        raise ParallelArc(f"duplicate arc ({a},{b})", k)
     return _from_out_keys(n, out_keys)
 
 

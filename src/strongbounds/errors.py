@@ -5,15 +5,23 @@ class StrongboundsError(Exception):
     """Base class for all library errors."""
 
 
-class LoopArc(StrongboundsError):
+class _ArcFault(StrongboundsError):
+    """Carries, when `from_arcs` raises it for an arc, the arc's input position as ``index``."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
+class LoopArc(_ArcFault):
     """An arc whose tail and head coincide (loops are not allowed)."""
 
 
-class ParallelArc(StrongboundsError):
+class ParallelArc(_ArcFault):
     """The same ordered arc given more than once."""
 
 
-class VertexOutOfRange(StrongboundsError):
+class VertexOutOfRange(_ArcFault):
     """A vertex id outside 0..n-1."""
 
 

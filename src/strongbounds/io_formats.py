@@ -15,6 +15,11 @@ used only in reports and exports. A vertex takes at most one label, no label
 is given twice, and none spells the id of an unnamed vertex (which shows as
 its id), so no two vertices display alike. Serialization sorts everything, so
 parse and serialize round-trip byte-identically.
+
+The parser checks syntax and name lines as it reads. `from_arcs` alone checks
+the arc rules (range, loops, repeats), after the last line, and its error gains
+the bad arc's line: any syntax or name fault outranks every arc fault, and arc
+faults outrank the closing check that no label spells an unnamed vertex's id.
 """
 
 from __future__ import annotations
@@ -37,13 +42,10 @@ SET_FIELDS = {
 SET_NAMES = tuple(SET_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeListDocument:
     digraph: Digraph
     labels: dict[int, str] = field(default_factory=dict)
-
-    def label(self, v: int) -> str:
-        return self.labels.get(v, str(v))
 
 
 def _int(token: str) -> int:
@@ -57,7 +59,7 @@ def parse_edge_list(text: str) -> EdgeListDocument:
     """Parse an edge-list document; errors carry the offending line number."""
     n: int | None = None
     arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    arc_lines: list[int] = []  # the line number of each arc
     labels: dict[int, str] = {}
     named: dict[str, tuple[int, int]] = {}  # label -> (id, line)
 
@@ -96,27 +98,24 @@ def parse_edge_list(text: str) -> EdgeListDocument:
         if len(parts) != 2:
             raise ParseError(lineno, f"expected '<tail> <head>', got {raw.strip()!r}")
         try:
-            a, b = _int(parts[0]), _int(parts[1])
+            arcs.append((_int(parts[0]), _int(parts[1])))
         except ValueError:
             raise ParseError(lineno, f"arc endpoints are not integers: {raw.strip()!r}") from None
-        if not (0 <= a < n and 0 <= b < n):
-            raise VertexOutOfRange(f"line {lineno}: arc ({a},{b}) outside 0..{n - 1}")
-        if a == b:
-            raise LoopArc(f"line {lineno}: loop arc ({a},{a}) not allowed")
-        if (a, b) in seen:
-            raise ParallelArc(f"line {lineno}: duplicate arc ({a},{b})")
-        seen.add((a, b))
-        arcs.append((a, b))
+        arc_lines.append(lineno)
 
     if n is None:
         raise ParseError(1, "missing header line 'n <count>'")
+    try:
+        digraph = from_arcs(n, arcs)
+    except (LoopArc, ParallelArc, VertexOutOfRange) as exc:
+        raise type(exc)(f"line {arc_lines[exc.index]}: {exc}", exc.index) from None
     # An unnamed vertex shows as its id, so no label may spell the id of one.
     for label, (v, lineno) in named.items():
         if label.isascii() and label.isdigit() and len(label) <= len(str(n)):
             u = int(label)
             if str(u) == label and u < n and u not in labels:
                 raise ParseError(lineno, f"label {label!r} of vertex {v} is the id of vertex {u}")
-    return EdgeListDocument(digraph=from_arcs(n, arcs), labels=labels)
+    return EdgeListDocument(digraph=digraph, labels=labels)
 
 
 def serialize_edge_list(
@@ -146,7 +145,6 @@ def export_dot(
     labels: dict[int, str] | None = None,
     highlight: np.ndarray | None = None,
     highlight_name: str | None = None,
-    graph_name: str = "D",
 ) -> str:
     """DOT text with one edge statement per arc; vertices true in the highlight mask filled."""
     labels = labels or {}
@@ -156,7 +154,7 @@ def export_dot(
         label = labels.get(v, str(v))
         return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph D {"]
     if highlight_name:
         lines.append(f'  // filled nodes: {highlight_name}')
     lines.append("  node [shape=circle];")

@@ -10,7 +10,7 @@ the same values as lists, plus a trailing newline. ``_write`` writes that
 layout directly: with an indent, ``json.dumps`` runs its pure-Python encoder,
 one generator frame per item of a 10^6-entry product eccentricity vector,
 while ``_write`` encodes an ndarray ``_CHUNK`` items at a time, one ``join``
-over a table of decimal strings per chunk, and hands each piece to a
+over the chunk's decimal strings (``_int_items``), and hands each piece to a
 ``write`` callable as it is made. ``AnalysisReport.write_json`` streams the
 pieces to a file, so encoding holds O(``_CHUNK``) text at a time however
 long the arrays are; ``to_json`` joins the same pieces into one string.
@@ -51,18 +51,17 @@ _CHUNK = 1 << 16
 
 
 def _int_items(arr: np.ndarray) -> list[str]:
-    """Decimal text of each int in ``arr``, one ``str`` call per table entry.
+    """Decimal text of each int in ``arr``.
 
-    The table holds ``lo..hi`` and is indexed by ``arr - lo``; when that range
-    is wider than ``arr`` is long, it holds only the distinct values instead.
+    When the values span a range ``lo..hi`` no wider than ``arr`` is long,
+    as eccentricities do, one ``str`` call per value of that range builds a
+    table, indexed by ``arr - lo``. Wider-spread values, such as set
+    members, take one ``str`` call each.
     """
     lo, hi = int(arr.min()), int(arr.max())
     if hi - lo > arr.size:
-        distinct, codes = np.unique(arr, return_inverse=True)
-        values = distinct.tolist()
-    else:
-        values, codes = range(lo, hi + 1), arr - lo
-    return np.array([str(v) for v in values], dtype=object).take(codes).tolist()
+        return [str(v) for v in arr.tolist()]
+    return np.array([str(v) for v in range(lo, hi + 1)], dtype=object).take(arr - lo).tolist()
 
 
 def _encode(obj, level: int) -> str:
@@ -177,7 +176,7 @@ def analyze_product(
     doc1: EdgeListDocument,
     doc2: EdgeListDocument,
     mode: str = "formula",
-    budget: int | None = None,
+    budget: int = DEFAULT_VERTEX_BUDGET,
     neighborhood: str = "open",
     paths: tuple[str, str] = ("<memory>", "<memory>"),
 ) -> AnalysisReport:
@@ -190,7 +189,6 @@ def analyze_product(
     _check_neighborhood(neighborhood)
     if mode not in ("formula", "oracle", "both"):
         raise ValueError(f"mode must be formula|oracle|both, got {mode!r}")
-    budget = DEFAULT_VERTEX_BUDGET if budget is None else budget
     d1, d2 = doc1.digraph, doc2.digraph
     pair = FactorPair.from_digraphs(d1, d2)
     summary = product_metric_summary(pair)

@@ -228,19 +228,41 @@ class TestProduct:
             )
 
     @pytest.mark.parametrize(
-        "factor2, options, code",
-        [("d2", ("--mode", "oracle", "--budget", "3"), 4), ("weak", (), 3)],
-        ids=["budget-exit-4", "not-strong-exit-3"],
+        "argv, code",
+        [
+            (("product", "D1", "D2", "--mode", "oracle", "--budget", "3"), 4),
+            (("product", "D1", "WEAK"), 3),
+            (("analyze", "WEAK", "--pretty"), 3),
+            (("export", "WEAK", "--set", "boundary"), 3),
+        ],
+        ids=["budget-exit-4", "not-strong-exit-3", "analyze-exit-3", "export-exit-3"],
     )
-    def test_failed_product_leaves_no_out_file(
-        self, capsys, tmp_path, d1_path, d2_path, factor2, options, code
-    ):
+    def test_failed_product_leaves_no_out_file(self, capsys, tmp_path, d1_path, d2_path, argv, code):
         weak = tmp_path / "weak.txt"
         weak.write_text("n 2\n0 1\n")
         out = tmp_path / "out.json"
-        second = {"d2": d2_path, "weak": weak}[factor2]
-        assert run(capsys, "product", str(d1_path), str(second), *options, "--out", str(out))[0] == code
+        argv = [{"D1": d1_path, "D2": d2_path, "WEAK": weak}.get(a, a) for a in argv]
+        assert run(capsys, *map(str, argv), "--out", str(out))[0] == code
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "D2", "--pretty"),
+        ("product", "D1", "D2", "--mode", "both"),
+        ("gen", "--n", "6", "--p", "0.3", "--seed", "42"),
+        ("export", "D2", "--set", "boundary"),
+    ],
+    ids=["analyze-pretty", "product", "gen", "export-boundary"],
+)
+def test_out_bytes_equal_stdout(capsys, tmp_path, d1_path, d2_path, argv):
+    argv = [{"D1": str(d1_path), "D2": str(d2_path)}.get(a, a) for a in argv]
+    out = tmp_path / "out.txt"
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout
+    assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == stdout.encode("ascii")
 
 
 class TestVerify:
@@ -309,6 +331,19 @@ class TestSizeOverflow:
         huge = tmp_path / "huge.txt"
         huge.write_text("n 9223372036854775808\n")
         assert_budget_error(run_subprocess(*(str(huge) if a == "HUGE" else a for a in argv)))
+
+    @pytest.mark.parametrize(
+        "body", ["0 0\n", "0 1\n0 1\n", "0 99999999999999999999999\n", "name 0 5\n"],
+        ids=["loop", "repeat", "out-of-range", "label-is-unnamed-id"],
+    )
+    def test_header_size_outranks_arc_and_label_faults(self, capsys, tmp_path, body):
+        # from_arcs checks the size before any arc, and runs before the label check
+        huge = tmp_path / "huge.txt"
+        huge.write_text("n 9223372036854775808\n" + body)
+        assert run(capsys, "analyze", str(huge)) == (
+            4, "", "error: 9223372036854775808 vertices exceed 3037000499, "
+            "the most whose arc keys fit in int64\n"
+        )
 
 
 class TestExport:

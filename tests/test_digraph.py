@@ -79,6 +79,13 @@ class TestFromArcs:
         with pytest.raises(error) as exc:
             from_arcs(n, arcs)
         assert str(exc.value) == message
+        # index is the position of the first arc out of range, a loop, or a repeat
+        seen = set()
+        for k, (a, b) in enumerate(arcs):
+            if not (0 <= a < n and 0 <= b < n) or a == b or (a, b) in seen:
+                break
+            seen.add((a, b))
+        assert exc.value.index == k
 
     def test_pairs_required(self):
         with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ _json_values = st.recursive(
     max_leaves=40,
 )
 # Int arrays of both report dtypes: small values take the offset digit table,
-# values from the whole dtype range the distinct-value fallback.
+# values from the whole dtype range one str call per item.
 _int_arrays = st.sampled_from([np.int32, np.int64]).flatmap(
     lambda dtype: hnp.arrays(
         dtype,
@@ -73,7 +73,7 @@ def _chunked_arrays(draw):
     """A small chunk size and an int array of 0, 1 or k·chunk ± 1 items.
 
     Values come from a range no wider than one item apart (the offset digit
-    table) or spread over 10^6 (the distinct-value table).
+    table) or spread over 10^6 (one str call per item).
     """
     chunk = draw(st.integers(min_value=1, max_value=4))
     n = max(0, draw(st.integers(min_value=0, max_value=3)) * chunk + draw(st.integers(-1, 1)))
@@ -123,20 +123,57 @@ class TestParse:
             parse_edge_list("0 1\n")
         assert exc.value.line == 1
 
+    # The arc rules live in from_arcs; the parser prefixes its message with the line.
     def test_vertex_out_of_range_line(self):
         with pytest.raises(VertexOutOfRange) as exc:
             parse_edge_list("n 2\n0 2\n")
-        assert "line 2" in str(exc.value)
+        assert str(exc.value) == "line 2: arc (0,2) has an endpoint outside 0..1"
+        assert exc.value.index == 0
 
     def test_loop_line(self):
         with pytest.raises(LoopArc) as exc:
             parse_edge_list("n 2\n# c\n1 1\n")
-        assert "line 3" in str(exc.value)
+        assert str(exc.value) == "line 3: loop arc (1,1) not allowed"
 
     def test_duplicate_line(self):
         with pytest.raises(ParallelArc) as exc:
             parse_edge_list("n 3\n0 1\n0 1\n")
-        assert "line 3" in str(exc.value)
+        assert str(exc.value) == "line 3: duplicate arc (0,1)"
+
+    @pytest.mark.parametrize(
+        "text, error, message, index",
+        [
+            ("n 2\n1 0\n0 99999999999999999999999\n", VertexOutOfRange,
+             "line 3: arc (0,99999999999999999999999) has an endpoint outside 0..1", 1),
+            # a repeat names its second line, past comments, blanks and names
+            ("n 3\n0 1\n# c\n1 2\n\nname 0 a\n0 1\n2 0\n", ParallelArc,
+             "line 7: duplicate arc (0,1)", 2),
+            ("n 3\nname 1 b\n1 2\n2 2\n0 5\n", LoopArc, "line 4: loop arc (2,2) not allowed", 1),
+        ],
+        ids=["past-int64", "repeat", "loop"],
+    )
+    def test_arc_fault_names_its_line(self, text, error, message, index):
+        with pytest.raises(error) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+        assert exc.value.index == index
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("n 2\n0 2\n0 x\n", 3), ("n 3\n1 1\nname 0 a\nname 1 a\n", 4)],
+        ids=["syntax", "name"],
+    )
+    def test_line_fault_outranks_earlier_arc_fault(self, text, line):
+        # every line is read before from_arcs checks any arc
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line == line
+
+    def test_arc_fault_outranks_label_check(self):
+        # label '2' spells the id of unnamed vertex 2, but the loop on line 3 is reported
+        with pytest.raises(LoopArc) as exc:
+            parse_edge_list("n 3\nname 0 2\n0 0\n")
+        assert str(exc.value) == "line 3: loop arc (0,0) not allowed"
 
     def test_malformed_arc(self):
         with pytest.raises(ParseError) as exc:
@@ -313,7 +350,7 @@ class TestReports:
         # no piece holds more than one chunk of items
         assert max(piece.count(",") for piece in pieces) <= max(chunk - 1, 1)
 
-    @pytest.mark.parametrize("scale", [1, 10**6], ids=["offset-table", "distinct-table"])
+    @pytest.mark.parametrize("scale", [1, 10**6], ids=["offset-table", "per-item"])
     def test_write_memory_does_not_grow_with_length(self, scale):
         rng = np.random.default_rng(0)
         small, large = (rng.integers(0, 1000, n) * scale for n in (10**6, 4 * 10**6))

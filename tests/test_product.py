@@ -532,10 +532,12 @@ class TestUndirectedFormulaReport:
 
 
 class TestIdentitySemantics:
-    """Dataclasses that hold ndarrays compare and hash by identity, never elementwise."""
+    """Dataclasses that hold ndarrays or dicts compare and hash by identity, never by field."""
 
     @pytest.mark.parametrize(
-        "kind", ["MetricProfile", "FactorPair", "ProductMetricSummary", "AnalysisReport"]
+        "kind",
+        ["MetricProfile", "FactorPair", "ProductMetricSummary", "AnalysisReport",
+         "EdgeListDocument"],
     )
     def test_eq_and_hash_return_values(self, kind, d1, d2, d1_path, d2_path):
         docs = [strongbounds.parse_edge_list(path.read_text()) for path in (d1_path, d2_path)]
@@ -546,6 +548,7 @@ class TestIdentitySemantics:
                 FactorPair.from_digraphs(d1, d2)
             ),
             "AnalysisReport": lambda: analyze_product(*docs),
+            "EdgeListDocument": lambda: strongbounds.parse_edge_list(d1_path.read_text()),
         }[kind]
         a, b = make(), make()
         assert type(a).__name__ == kind

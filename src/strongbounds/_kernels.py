@@ -163,8 +163,8 @@ def all_pairs_directed_dist(
         rows = dist[s0:s0 + block]
         flat = rows.reshape(-1)
         keys = None
+        todo = np.count_nonzero(rows < 0)  # before the frontier, so one bool block at a time
         mask = rows == 1  # the frontier: a bool block, or else the keys of its cells
-        todo = np.count_nonzero(rows < 0)
         dense_cells = flat.size * n
         bit_cells = _BIT_COST * (-(-rows.shape[0] // 64) * indices.size + flat.size)
         pull_cells = min(dense_cells, bit_cells)

@@ -97,8 +97,10 @@ def _boundary_witnesses(p: MetricProfile, d: Digraph) -> np.ndarray:
     """
     indptr, indices, md = d.und_indptr, d.und_indices, p.md
     # md is symmetric: row v of md - ecc[None, :] holds md(u, v) - ecc(u) for
-    # every u, and a row argmax needs no transposed copy of the table
-    cand = (md - p.ecc[None, :]).argmax(axis=1)
+    # every u, and a row argmax needs no transposed copy of the table. ecc is
+    # cast to md's dtype, which holds it (ecc <= diameter), so the difference
+    # is built at md's width, not int32.
+    cand = (md - p.ecc.astype(md.dtype)[None, :]).argmax(axis=1)
     at_v = md[cand, np.arange(d.n)]
     rows = np.repeat(np.arange(d.n), indptr[1:] - indptr[:-1])
     worst = _segment_max(md[cand[rows], indices], indptr)
@@ -126,9 +128,10 @@ def _eccentric_mask(p: MetricProfile, at_least: int = 0) -> np.ndarray:
     """Mask of the vertices v eccentric for some u with ecc(u) >= at_least.
 
     The one eccentric-vertex scan. Rows of u below the threshold are cleared in
-    place in its n×n bool table, so md is never copied.
+    place in its n×n bool table, so md is never copied. ecc is compared at md's
+    dtype, which holds it.
     """
-    hits = p.md == p.ecc[:, None]
+    hits = p.md == p.ecc.astype(p.md.dtype)[:, None]
     hits[p.ecc < at_least] = False
     return hits.any(axis=0)
 

@@ -22,7 +22,10 @@ UNREACHABLE = -1
 class MetricProfile:
     """Max-distance table with eccentricities, radius, and diameter.
 
-    md is symmetric with zero diagonal; ecc[v] = max_u md[v, u];
+    md is symmetric with zero diagonal, read-only, and held in the narrowest
+    signed dtype that holds the diameter (`_md_dtype`): int8, int16 or int32.
+    Sums of md values can overflow that dtype, so upcast before adding them.
+    ecc[v] = max_u md[v, u] is a read-only int32 vector whatever md's dtype;
     radius/diameter are the min/max eccentricities.
     """
 
@@ -55,6 +58,13 @@ def all_pairs_directed(d: Digraph) -> np.ndarray:
     A vertex without an out-arc or an in-arc is found from the degrees before
     the n×n table is allocated.
     """
+    table = _hop_table(d)
+    table.setflags(write=False)
+    return table
+
+
+def _hop_table(d: Digraph) -> np.ndarray:
+    """The writable int32 table of `all_pairs_directed`, with its NotStrong checks."""
     out_ptr, in_ptr = d.out_indptr, d.in_indptr  # a repeated pointer is an empty row
     if d.n > 1 and np.count_nonzero(out_ptr[1:] == out_ptr[:-1]) + np.count_nonzero(
         in_ptr[1:] == in_ptr[:-1]
@@ -65,7 +75,6 @@ def all_pairs_directed(d: Digraph) -> np.ndarray:
     )
     if table.min() < 0:  # a hole; the n×n mask to locate it is built only then
         raise _not_strong(divmod(int((table == UNREACHABLE).argmax()), d.n))
-    table.setflags(write=False)
     return table
 
 
@@ -90,14 +99,56 @@ def max_distance(table: np.ndarray, u: int, v: int) -> int:
     return int(max(table[u, v], table[v, u]))
 
 
+# Rows and columns of one tile of the in-place fold. A 64×64 int32 tile and its
+# mirror take 32 KiB, inside one core's 48 KiB L1d on a 2-vCPU Xeon, where a
+# random 1 600² table folded in 3.1 ms (4 000²: 22-27 ms), against 2.8 ms
+# (19-20 ms) with 128 and 5.6-7.0 ms (132-140 ms) for np.maximum(t, t.T). The
+# fold's own transient, a copy of one diagonal tile plus numpy's iteration
+# buffers, is about 50 KB at 64 and 130 KB at 128.
+_FOLD_TILE = 64
+
+
+def _fold_max_transpose(t: np.ndarray) -> None:
+    """Overwrite the square table t with max(t, tᵀ), one tile and its mirror at a time.
+
+    `np.maximum(t, t.T, out=t)` would copy the whole table, since numpy copies
+    an operand that overlaps the output. An off-diagonal tile and its mirror
+    lie in disjoint rows, so only a diagonal tile is copied.
+    """
+    n, k = t.shape[0], _FOLD_TILE
+    for i in range(0, n, k):
+        rows = slice(i, i + k)
+        tile = t[rows, rows]
+        np.maximum(tile, tile.T, out=tile)
+        for j in range(i + k, n, k):
+            cols = slice(j, j + k)
+            tile, mirror = t[rows, cols], t[cols, rows]
+            np.maximum(tile, mirror.T, out=tile)
+            mirror[...] = tile.T
+
+
+def _md_dtype(diameter: int) -> np.dtype:
+    """The narrowest signed dtype holding 0..diameter: int8, int16 or int32.
+
+    Signed, so the table can also hold the -1 sentinels of the neighbour scans.
+    """
+    return np.dtype(np.int8 if diameter <= 127 else np.int16 if diameter <= 32_767 else np.int32)
+
+
 def metric_profile(d: Digraph) -> MetricProfile:
-    """md table, eccentricities, radius, and diameter of a strong digraph."""
-    table = all_pairs_directed(d)
-    md = np.maximum(table, table.T)
-    ecc = md.max(axis=1)
+    """md table, eccentricities, radius, and diameter of a strong digraph.
+
+    The kernel's int32 hop table t is folded into max(t, tᵀ) in place, copied
+    to md's dtype and freed (an int32 md is t itself): the call peaks at the
+    4·n² bytes of t plus the itemsize·n² of md, and keeps only md.
+    """
+    table = _hop_table(d)
+    _fold_max_transpose(table)
+    ecc = table.max(axis=1)
+    diameter = int(ecc.max())
     return MetricProfile(
-        md=md,
-        ecc=ecc.astype(np.int32),
+        md=table.astype(_md_dtype(diameter), copy=False),
+        ecc=ecc,
         radius=int(ecc.min()),
-        diameter=int(ecc.max()),
+        diameter=diameter,
     )

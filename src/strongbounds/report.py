@@ -254,13 +254,25 @@ def _format_set(ids: np.ndarray, labels: dict[str, str], n2: int | None) -> str:
     return "{" + ", ".join(show(v) for v in ids) + "}"
 
 
+def _ascii_path(path: str) -> str:
+    """path with each non-ASCII character escaped as the JSON report escapes it.
+
+    The pretty text is ASCII, like every output: é becomes \\u00e9, and an
+    ASCII path is kept as it is.
+    """
+    return "".join(c if c.isascii() else encode_basestring_ascii(c)[1:-1] for c in path)
+
+
 def render_pretty(payload: dict) -> str:
-    """Human-oriented table view of a report payload."""
+    """Human-oriented table view of a report payload; input paths are escaped to ASCII."""
     lines: list[str] = []
     if payload["kind"] == "digraph-analysis":
         inp = payload["input"]
         labels = inp.get("labels", {})
-        lines.append(f"digraph: {inp['path']}  n={inp['n']}  arcs={inp['arc_count']}  strong=yes")
+        lines.append(
+            f"digraph: {_ascii_path(inp['path'])}  n={inp['n']}"
+            f"  arcs={inp['arc_count']}  strong=yes"
+        )
         m = payload["metric"]
         lines.append(f"radius={m['radius']}  diameter={m['diameter']}")
         ecc = ", ".join(
@@ -273,7 +285,8 @@ def render_pretty(payload: dict) -> str:
     else:
         f1, f2 = payload["factors"]
         lines.append(
-            f"product of {f1['path']} (n={f1['n']}) and {f2['path']} (n={f2['n']})"
+            f"product of {_ascii_path(f1['path'])} (n={f1['n']})"
+            f" and {_ascii_path(f2['path'])} (n={f2['n']})"
             f"  mode={payload['mode']}"
         )
         prod = payload["product"]

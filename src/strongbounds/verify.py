@@ -88,8 +88,10 @@ def _check_metric_axioms(md: np.ndarray) -> str | None:
         return "md diagonal not zero"
     if len(md) > 1 and (md[~np.eye(len(md), dtype=bool)] < 1).any():
         return "md zero off the diagonal"
-    # triangle inequality over all ordered triples
-    if (md[:, None, :] > md[:, :, None] + md[None, :, :]).any():
+    # triangle inequality over all ordered triples, in int32: md may be int8,
+    # where a sum of two entries wraps
+    wide = md.astype(np.int32)
+    if (wide[:, None, :] > wide[:, :, None] + wide[None, :, :]).any():
         return "md triangle inequality violated"
     return None
 

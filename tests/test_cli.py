@@ -24,11 +24,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, **env_vars):
     """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
     src = str(Path(strongbounds.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **env_vars}
     return subprocess.run(
         [sys.executable, "-m", "strongbounds.cli", *argv],
         capture_output=True, text=True, env=env,
@@ -81,6 +81,25 @@ class TestAnalyze:
         assert code == 0
         assert "radius=2  diameter=4" in out
         assert "v1" in out
+
+    @pytest.mark.parametrize("command", ["analyze", "product"])
+    def test_pretty_non_ascii_path(self, tmp_path, d2_path, command):
+        # the pretty text escapes the path as the JSON report does, so it
+        # goes to an ASCII --out file and to an ASCII stdout alike
+        src = tmp_path / "é.txt"
+        src.write_bytes(d2_path.read_bytes())
+        inputs = [str(src)] * (2 if command == "product" else 1)
+        out = tmp_path / "o.txt"
+        to_file = run_subprocess(command, *inputs, "--pretty", "--out", str(out))
+        to_stdout = run_subprocess(command, *inputs, "--pretty", PYTHONIOENCODING="ascii")
+        for proc in (to_file, to_stdout):
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+        text = out.read_text(encoding="ascii")
+        assert text == to_stdout.stdout
+        escaped = str(src).replace("é", "\\u00e9")
+        assert text.count(escaped) == len(inputs)
+        assert "é" not in text
 
     def test_k1(self, capsys, tmp_path):
         f = tmp_path / "k1.txt"

@@ -1,5 +1,7 @@
 """Distances, the max-distance metric, and metric profiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,19 +9,32 @@ from hypothesis import given, settings
 import oracles
 from strongbounds import (
     UNREACHABLE,
+    GeneratorConfig,
     NotStrong,
     VertexOutOfRange,
     _kernels,
     all_pairs_directed,
+    boundary_profile,
     directed_distances_from,
     from_arcs,
+    generate_strong_digraph,
     max_distance,
     metric_profile,
 )
 from strongbounds.digraph import find_unreachable_pair
+from strongbounds.metric import _FOLD_TILE, _fold_max_transpose, _md_dtype
 from strategies import bidirected_strong_digraphs, digraphs, strong_digraphs
 
 CYCLE3 = [(0, 1), (1, 2), (2, 0)]
+
+
+def directed_cycle(n):
+    return from_arcs(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def bidirected_cycle(n):
+    steps = {(v, (v + 1) % n) for v in range(n)}
+    return from_arcs(n, sorted(steps | {(b, a) for a, b in steps}))
 
 
 class TestDirectedDistances:
@@ -174,3 +189,83 @@ class TestMetricProfile:
         m = all_pairs_directed(d)
         p = metric_profile(d)
         assert np.array_equal(p.md, m)
+
+
+class TestMdTable:
+    @settings(max_examples=60)
+    @given(strong_digraphs(max_n=8))
+    def test_md_is_max_of_table_and_transpose(self, d):
+        t = all_pairs_directed(d)
+        assert np.array_equal(metric_profile(d).md, np.maximum(t, t.T))
+
+    @pytest.mark.parametrize("n", [_FOLD_TILE - 1, _FOLD_TILE, _FOLD_TILE + 1, 2 * _FOLD_TILE + 1])
+    def test_fold_across_tile_edges(self, n):
+        d = generate_strong_digraph(GeneratorConfig(n=n, p=0.03, seed=n)).digraph
+        t = all_pairs_directed(d)
+        assert not np.array_equal(t, t.T)
+        assert np.array_equal(metric_profile(d).md, np.maximum(t, t.T))
+        # every cell of an arbitrary table, the diagonal tiles' included
+        table = np.random.default_rng(n).integers(-1, 1000, (n, n), dtype=np.int32)
+        want = np.maximum(table, table.T)
+        _fold_max_transpose(table)
+        assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize("n, dtype", [(128, np.int8), (129, np.int16)])
+    def test_dtype_switch_on_cycles(self, n, dtype):
+        # a directed n-cycle has diameter n - 1, at the edge of int8's range
+        p = metric_profile(directed_cycle(n))
+        assert p.diameter == n - 1 and (p.ecc == n - 1).all()
+        assert p.md.dtype == dtype and p.ecc.dtype == np.int32
+        assert p.md.max() == n - 1
+
+    def test_dtype_rule(self):
+        # the int16 -> int32 edge is pinned on the rule alone: a digraph of
+        # diameter 32 768 needs a 4 GiB int32 table
+        cases = [(0, np.int8), (127, np.int8), (128, np.int16), (32_767, np.int16),
+                 (32_768, np.int32), (2**31 - 1, np.int32)]
+        for diameter, dtype in cases:
+            assert _md_dtype(diameter) == dtype, diameter
+
+    def test_tables_read_only(self, d2):
+        t = all_pairs_directed(d2)
+        assert t.dtype == np.int32 and not t.flags.writeable
+        p = metric_profile(d2)
+        assert not p.md.flags.writeable and not p.ecc.flags.writeable
+
+
+class TestMdMemory:
+    """Traced bytes of one profile of a bidirected 200-cycle (diameter 100, int8 md).
+
+    The kernel's int32 table takes 4·n² bytes and md n². What tracemalloc sees
+    beyond that is O(n) arrays and numpy's iterator buffers, tens of KB.
+    """
+
+    n = 200
+
+    @staticmethod
+    def traced(call):
+        call()  # warm: first calls allocate lasting caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, current - base, peak - base
+
+    def test_metric_profile(self):
+        n, d = self.n, bidirected_cycle(self.n)
+        p, retained, peak = self.traced(lambda: metric_profile(d))
+        assert p.md.dtype == np.int8 and p.diameter == n // 2
+        # one int32 table plus the int8 copy; np.maximum(t, t.T) peaked at 8·n²
+        assert peak <= 5.5 * n * n
+        # md alone outlives the call, not an int32 table of 4·n²
+        assert n * n <= retained <= 1.1 * n * n
+
+    def test_boundary_profile(self):
+        d = bidirected_cycle(self.n)
+        p = metric_profile(d)
+        _, _, peak = self.traced(lambda: boundary_profile(p, d))
+        # md - ecc is built at md's width: n² bytes, not an int32 4·n²
+        assert peak <= 1.5 * self.n ** 2

@@ -22,6 +22,7 @@ from strongbounds.cli import EXIT_VIOLATION, main
 from strongbounds.digraph import _from_out_keys
 from strongbounds.verify import (
     PROPERTIES,
+    _check_metric_axioms,
     _check_trial,
     _closed_sets,
     _minimize,
@@ -253,6 +254,19 @@ class TestCheckTrialAgainstOracles:
         md = oracles.md_table(n, arcs)
         true_boundary = oracles.boundary(n, arcs, md)
         assert 12 in true_boundary
+
+
+class TestMetricAxioms:
+    def test_int8_md_sums_do_not_wrap(self):
+        # a directed 128-cycle has md values up to 127 in an int8 table, where
+        # 127 + 127 would wrap to -2 and read as a triangle violation
+        n = 128
+        md = metric_profile(from_arcs(n, [(v, (v + 1) % n) for v in range(n)])).md
+        assert md.dtype == np.int8 and md.max() == 127
+        assert _check_metric_axioms(md) is None
+        planted = md.copy()
+        planted[0, 1] = planted[1, 0] = planted[1, 2] = planted[2, 1] = 1  # md(0, 2) is 126
+        assert _check_metric_axioms(planted) == "md triangle inequality violated"
 
 
 def assert_closed_sets_match_oracles(d):

@@ -14,7 +14,6 @@ from .boundary import (
     boundary_set,
     contour_set,
     eccentric_set,
-    is_boundary_vertex_of,
     periphery_set,
 )
 from .digraph import Digraph, from_arcs, is_strong
@@ -42,7 +41,6 @@ from .metric import (
     MetricProfile,
     all_pairs_directed,
     directed_distances_from,
-    max_distance,
     metric_profile,
 )
 from .product import (
@@ -56,14 +54,11 @@ from .product import (
     product_boundary_via_factors,
     product_contour_exact_via_factors,
     product_contour_via_factors,
-    product_distance,
     product_eccentric_via_factors,
-    product_eccentricities,
     product_metric_profile,
     product_metric_summary,
     product_periphery_via_factors,
     strong_product,
-    swap_product_set,
     undirected_formula_counterexample,
 )
 from .report import AnalysisReport, analyze_digraph, analyze_product
@@ -106,9 +101,7 @@ __all__ = [
     "export_dot",
     "from_arcs",
     "generate_strong_digraph",
-    "is_boundary_vertex_of",
     "is_strong",
-    "max_distance",
     "metric_profile",
     "parse_edge_list",
     "periphery_set",
@@ -118,9 +111,7 @@ __all__ = [
     "product_boundary_via_factors",
     "product_contour_exact_via_factors",
     "product_contour_via_factors",
-    "product_distance",
     "product_eccentric_via_factors",
-    "product_eccentricities",
     "product_metric_profile",
     "product_metric_summary",
     "product_periphery_via_factors",
@@ -128,6 +119,5 @@ __all__ = [
     "run_verification",
     "serialize_edge_list",
     "strong_product",
-    "swap_product_set",
     "undirected_formula_counterexample",
 ]

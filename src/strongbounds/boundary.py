@@ -53,10 +53,11 @@ def _segment_max(gathered: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     neighbor), each at least -1, so the result has one entry per vertex. A -1
     sentinel after the last entry gives every row start a valid index, so one
     reduceat covers all rows; an empty row's start holds the next row's
-    first value (or the sentinel), and is reset to -1.
+    first value (or the sentinel), and is reset to -1. The sentinel takes
+    gathered's dtype, so a narrow md gather stays at md's width.
     """
     starts = indptr[:-1]
-    out = np.maximum.reduceat(np.concatenate((gathered, [-1])), starts)
+    out = np.maximum.reduceat(np.concatenate((gathered, [-1]), dtype=gathered.dtype), starts)
     out[starts == indptr[1:]] = -1
     return out
 
@@ -75,16 +76,6 @@ def _worst_columns(md: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vert
     for v in range(md.shape[0]) if vertices is None else vertices:
         lo, hi = bounds[v], bounds[v + 1]
         yield v, md[indices[lo:hi]].max(axis=0) if lo < hi else empty
-
-
-def is_boundary_vertex_of(p: MetricProfile, d: Digraph, v: int, u: int) -> bool:
-    """True iff no neighbor of v lies md-farther from u than v does."""
-    d._check_vertex(v)
-    d._check_vertex(u)
-    nbrs = d.und_indices[d.und_indptr[v]:d.und_indptr[v + 1]]
-    if nbrs.size == 0:
-        return True
-    return bool((p.md[u, nbrs] <= p.md[u, v]).all())
 
 
 def _boundary_witnesses(p: MetricProfile, d: Digraph) -> np.ndarray:

@@ -101,37 +101,6 @@ class Digraph:
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
 
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        """{u : (v,u) is an arc}."""
-        self._check_vertex(v)
-        return frozenset(self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]].tolist())
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        """{w : (w,v) is an arc}."""
-        self._check_vertex(v)
-        return frozenset(self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]].tolist())
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Out- and in-neighbors combined; never contains v itself."""
-        self._check_vertex(v)
-        return frozenset(self.und_indices[self.und_indptr[v]:self.und_indptr[v + 1]].tolist())
-
-    def closed_neighbors(self, v: int) -> frozenset[int]:
-        return self.neighbors(v) | {v}
-
-    def is_bidirected(self) -> bool:
-        """True when every arc is paired with its reverse (undirected-style)."""
-        return np.array_equal(self.out_indptr, self.in_indptr) and np.array_equal(
-            self.out_indices, self.in_indices
-        )
-
-    def reachable_from(self, source: int, reverse: bool = False) -> np.ndarray:
-        """Boolean reachability vector by BFS along arcs (or reversed arcs)."""
-        self._check_vertex(source)
-        indptr = self.in_indptr if reverse else self.out_indptr
-        indices = self.in_indices if reverse else self.out_indices
-        return _bfs_levels(indptr, indices, self.n, source) >= 0
-
 
 def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     """Build a digraph, rejecting loops, duplicates, and out-of-range ids.
@@ -235,15 +204,17 @@ def is_strong(d: Digraph) -> bool:
 
 
 def find_unreachable_pair(d: Digraph) -> tuple[int, int] | None:
-    """Some ordered pair (u, v) with no directed u->v path, if one exists.
+    """The first ordered pair (u, v) with no directed u->v path, if one exists.
 
     Dual BFS from vertex 0: forward reachability covers 0->x for all x,
     reverse reachability covers x->0; together they cover every ordered pair.
+    The pair is (0, x) for the least x that 0 cannot reach, else (u, 0) for
+    the least u that cannot reach 0.
     """
-    fwd = d.reachable_from(0)
-    if not fwd.all():
-        return (0, int(np.flatnonzero(~fwd)[0]))
-    back = d.reachable_from(0, reverse=True)
-    if not back.all():
-        return (int(np.flatnonzero(~back)[0]), 0)
+    fwd = _bfs_levels(d.out_indptr, d.out_indices, d.n, 0)
+    if fwd.min() < 0:
+        return (0, int(fwd.argmin()))
+    back = _bfs_levels(d.in_indptr, d.in_indices, d.n, 0)
+    if back.min() < 0:
+        return (int(back.argmin()), 0)
     return None

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .digraph import Digraph, _bfs_levels, find_unreachable_pair
-from .errors import NotStrong, VertexOutOfRange
+from .errors import NotStrong
 
 UNREACHABLE = -1
 
@@ -83,20 +83,6 @@ def _not_strong(pair: tuple[int, int]) -> NotStrong:
         f"digraph is not strongly connected: no directed path {pair[0]} -> {pair[1]}",
         pair=pair,
     )
-
-
-def _check_pair(table: np.ndarray, u: int, v: int) -> None:
-    n = table.shape[0]
-    if not (0 <= u < n and 0 <= v < n):
-        raise VertexOutOfRange(f"vertex pair ({u},{v}) not in 0..{n - 1}")
-    if table[u, v] == UNREACHABLE or table[v, u] == UNREACHABLE:
-        raise NotStrong(f"distance between {u} and {v} undefined in one direction")
-
-
-def max_distance(table: np.ndarray, u: int, v: int) -> int:
-    """md(u,v) from an `all_pairs_directed` table: the larger directed distance."""
-    _check_pair(table, u, v)
-    return int(max(table[u, v], table[v, u]))
 
 
 # Rows and columns of one tile of the in-place fold. A 64×64 int32 tile and its

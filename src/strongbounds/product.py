@@ -82,10 +82,6 @@ class FactorPair:
         p1, p2 = profiles
         return cls(d1, d2, p1, p2, boundary_profile(p1, d1), boundary_profile(p2, d2))
 
-    @property
-    def label(self) -> ProductLabel:
-        return ProductLabel(self.d1.n, self.d2.n)
-
 
 def product_arc_count(d1: Digraph, d2: Digraph) -> int:
     """Arc count of the product from factor counts alone.
@@ -140,24 +136,12 @@ def _closed_arc_ends(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(keys, n)
 
 
-def product_distance(f: FactorPair, a: tuple[int, int], b: tuple[int, int]) -> int:
-    """md between product vertices (i,r) and (j,s): max of the factor mds."""
-    i, r = a
-    j, s = b
-    lbl = f.label
-    lbl.encode(i, r)
-    lbl.encode(j, s)
-    return int(max(f.p1.md[i, j], f.p2.md[r, s]))
-
-
-def product_eccentricities(f: FactorPair) -> np.ndarray:
-    """Product eccentricity vector in encoded order: max of factor eccs."""
-    return np.maximum.outer(f.p1.ecc, f.p2.ecc).ravel()
-
-
 @dataclass(frozen=True, eq=False)
 class ProductMetricSummary:
-    """Product-scale metric facts computable without any product-sized table."""
+    """Product-scale metric facts computable without any product-sized table.
+
+    ecc is in encoded order: ecc[i*n2 + r] = max(ecc1[i], ecc2[r]).
+    """
 
     n: int
     ecc: np.ndarray
@@ -168,7 +152,7 @@ class ProductMetricSummary:
 def product_metric_summary(f: FactorPair) -> ProductMetricSummary:
     return ProductMetricSummary(
         n=f.d1.n * f.d2.n,
-        ecc=product_eccentricities(f),
+        ecc=np.maximum.outer(f.p1.ecc, f.p2.ecc).ravel(),
         radius=max(f.p1.radius, f.p2.radius),
         diameter=max(f.p1.diameter, f.p2.diameter),
     )
@@ -366,7 +350,3 @@ def undirected_formula_counterexample(f: FactorPair) -> UndirectedFormulaReport:
         difference=candidate ^ factor,
     )
 
-
-def swap_product_set(members: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Map a mask of an n1 x n2 product onto the n2 x n1 product: (i, r) -> (r, i)."""
-    return members.reshape(n1, n2).T.ravel()

@@ -13,7 +13,7 @@ while ``_write`` encodes an ndarray ``_CHUNK`` items at a time, one ``join``
 over the chunk's decimal strings (``_int_items``), and hands each piece to a
 ``write`` callable as it is made. ``AnalysisReport.write_json`` streams the
 pieces to a file, so encoding holds O(``_CHUNK``) text at a time however
-long the arrays are; ``to_json`` joins the same pieces into one string.
+long the arrays are.
 """
 
 from __future__ import annotations
@@ -64,18 +64,12 @@ def _int_items(arr: np.ndarray) -> list[str]:
     return np.array([str(v) for v in range(lo, hi + 1)], dtype=object).take(arr - lo).tolist()
 
 
-def _encode(obj, level: int) -> str:
-    """``json.dumps(obj, indent=2)`` of ``obj`` nested ``level`` deep, an int ndarray as a list."""
-    out: list[str] = []
-    _write(obj, level, out.append)
-    return "".join(out)
-
-
 def _write(obj, level: int, write: Callable[[str], object]) -> None:
-    """Pass the text of ``_encode(obj, level)`` to ``write`` in pieces.
+    """Pass ``obj`` to ``write`` in pieces, laid out as ``json.dumps(obj, indent=2)``.
 
-    An int ndarray goes ``_CHUNK`` items per piece, so no piece and no
-    temporary grows with the array's length.
+    ``level`` is the nesting depth of ``obj``, which sets its indent. An int
+    ndarray is written as a list, ``_CHUNK`` items per piece, so no piece and
+    no temporary grows with the array's length.
     """
     if not isinstance(obj, (dict, list, np.ndarray)):
         write(encode_basestring_ascii(obj) if isinstance(obj, str) else json.dumps(obj))
@@ -120,10 +114,6 @@ class AnalysisReport:
     """Single digraph or product analysis, rendered to JSON or a text table."""
 
     payload: dict
-
-    def to_json(self) -> str:
-        """The payload as JSON text, plus a trailing newline: what ``write_json`` writes."""
-        return _encode(self.payload, 0) + "\n"
 
     def write_json(self, stream: TextIO) -> None:
         """Write the payload as JSON text, plus a trailing newline, to ``stream``.

@@ -63,15 +63,13 @@ def ecc_vector(md):
     return [max(row) for row in md]
 
 
+def witnesses(n, arcs, md, v, u, closed=False):
+    """u witnesses v: no neighbor of v lies md-farther from u than v does."""
+    return all(md[u][w] <= md[u][v] for w in neighbors(n, arcs, v, closed))
+
+
 def boundary(n, arcs, md, closed=False):
-    members = set()
-    for v in range(n):
-        nv = neighbors(n, arcs, v, closed)
-        for u in range(n):
-            if all(md[u][w] <= md[u][v] for w in nv):
-                members.add(v)
-                break
-    return members
+    return {v for v in range(n) if any(witnesses(n, arcs, md, v, u, closed) for u in range(n))}
 
 
 def witness_reach(n, arcs, md):

@@ -22,6 +22,7 @@ import oracles
 from strongbounds import (
     FactorPair,
     GeneratorConfig,
+    ProductLabel,
     boundary_profile,
     boundary_set,
     from_arcs,
@@ -274,7 +275,7 @@ def test_criterion_7_undirected_formula_counterexample(d1_path, d2_path):
     doc1 = parse_edge_list(d1_path.read_text())
     doc2 = parse_edge_list(d2_path.read_text())
     pair = FactorPair.from_digraphs(doc1.digraph, doc2.digraph)
-    label = pair.label
+    label = ProductLabel(doc1.digraph.n, doc2.digraph.n)
     report = undirected_formula_counterexample(pair)
     expected = {label.encode(0, 1), label.encode(2, 1)}  # (u1,v2), (u3,v2)
     example_ok = ids(report.difference) == expected

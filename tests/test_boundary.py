@@ -13,7 +13,6 @@ from strongbounds import (
     contour_set,
     eccentric_set,
     from_arcs,
-    is_boundary_vertex_of,
     is_strong,
     metric_profile,
     parse_edge_list,
@@ -58,15 +57,20 @@ def p2(d2):
 
 
 class TestIsBoundaryVertexOf:
+    """Witness checks on the worked example, on the library's md table."""
+
     def test_v5_is_boundary_vertex_of_v1(self, p2, d2):
-        assert is_boundary_vertex_of(p2, d2, 4, 0)
+        assert oracles.witnesses(d2.n, d2.arcs, p2.md.tolist(), 4, 0)
+        assert boundary_set(p2, d2)[4]
 
     def test_self_never_boundary_with_neighbors(self, p2, d2):
-        for v in range(d2.n):
-            assert not is_boundary_vertex_of(p2, d2, v, v)
+        md = p2.md.tolist()
+        assert not any(oracles.witnesses(d2.n, d2.arcs, md, v, v) for v in range(d2.n))
 
     def test_v3_boundary_vertex_of_nobody(self, p2, d2):
-        assert not any(is_boundary_vertex_of(p2, d2, 2, u) for u in range(d2.n))
+        md = p2.md.tolist()
+        assert not any(oracles.witnesses(d2.n, d2.arcs, md, 2, u) for u in range(d2.n))
+        assert not boundary_set(p2, d2)[2]
 
 
 class TestGoldenSets:
@@ -164,11 +168,11 @@ class TestWitnesses:
     def test_every_witness_checks_out(self, d):
         p = metric_profile(d)
         witness = _boundary_witnesses(p, d)
+        md = oracles.md_table(d.n, d.arcs)
         for v, u in enumerate(witness.tolist()):
             if u >= 0:
-                assert is_boundary_vertex_of(p, d, v, u)
-        members = ids(witness >= 0)
-        assert members == oracles.boundary(d.n, d.arcs, oracles.md_table(d.n, d.arcs))
+                assert oracles.witnesses(d.n, d.arcs, md, v, u)
+        assert ids(witness >= 0) == oracles.boundary(d.n, d.arcs, md)
 
     def test_fallback_finds_non_eccentric_member(self, monkeypatch):
         d = from_arcs(*NON_ECCENTRIC_MEMBER)
@@ -178,7 +182,7 @@ class TestWitnesses:
         assert not eccentric_set(p)[5]
         assert 5 in visited
         assert witness[5] == 0  # the first u whose W entry passes
-        assert is_boundary_vertex_of(p, d, 5, 0)
+        assert oracles.witnesses(d.n, d.arcs, oracles.md_table(d.n, d.arcs), 5, 0)
 
     @pytest.mark.parametrize(
         "d",
@@ -218,6 +222,16 @@ class TestNeighbourhoodReductions:
         indptr, gathered = csr_of_rows(rows)
         expected = [max(r, default=-1) for r in rows]
         assert _segment_max(gathered, indptr).tolist() == expected
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    @given(st.lists(st.lists(st.integers(-1, 127), max_size=4), max_size=8))
+    @example([[127, -1], [], [0]])
+    def test_segment_max_keeps_narrow_dtype(self, dtype, rows):
+        rows = [[]] + rows  # a leading empty row
+        indptr, gathered = csr_of_rows(rows)
+        out = _segment_max(gathered.astype(dtype), indptr)
+        assert out.dtype == dtype
+        assert out.tolist() == [max(r, default=-1) for r in rows]
 
     @pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
     def test_one_vertex(self, k1, neighborhood):

@@ -8,7 +8,7 @@ import oracles
 from strongbounds import (
     LoopArc, ParallelArc, SizeOverflow, VertexOutOfRange, from_arcs, is_strong,
 )
-from strongbounds.digraph import _adjacency_is_strong
+from strongbounds.digraph import _adjacency_is_strong, find_unreachable_pair
 from strategies import digraphs
 
 
@@ -140,38 +140,47 @@ class TestCSRStore:
 
     @given(digraphs())
     def test_is_bidirected_matches_arc_set(self, d):
-        assert d.is_bidirected() == all((b, a) in d.arcs for a, b in d.arcs)
+        # every arc is paired with its reverse iff the in-CSR repeats the out-CSR
+        same = np.array_equal(d.out_indptr, d.in_indptr) and np.array_equal(
+            d.out_indices, d.in_indices
+        )
+        assert same == all((b, a) in d.arcs for a, b in d.arcs)
+
+
+def _row(indptr, indices, v):
+    return indices[indptr[v]:indptr[v + 1]].tolist()
 
 
 class TestNeighborhoods:
+    """Neighbourhoods are CSR rows: out, in, and N(v) = the undirected row."""
+
     def test_out_neighbors_v2(self, d2):
-        assert d2.out_neighbors(1) == {0, 2, 4}
+        assert _row(d2.out_indptr, d2.out_indices, 1) == [0, 2, 4]
 
     def test_in_neighbors_v4(self, d2):
-        assert d2.in_neighbors(3) == {2, 4}
+        assert _row(d2.in_indptr, d2.in_indices, 3) == [2, 4]
 
     def test_neighbors_v3(self, d2):
-        assert d2.neighbors(2) == {0, 1, 3}
+        assert _row(d2.und_indptr, d2.und_indices, 2) == [0, 1, 3]
 
     def test_closed_neighbors_u2(self, d1):
-        assert d1.closed_neighbors(1) == {0, 1, 2}
+        assert set(_row(d1.und_indptr, d1.und_indices, 1)) | {1} == {0, 1, 2}
 
     def test_single_vertex_neighborhoods(self, k1):
-        assert k1.out_neighbors(0) == frozenset()
-        assert k1.closed_neighbors(0) == {0}
-
-    def test_out_of_range(self, d1):
-        with pytest.raises(VertexOutOfRange):
-            d1.out_neighbors(3)
+        assert _row(k1.out_indptr, k1.out_indices, 0) == []
+        assert _row(k1.und_indptr, k1.und_indices, 0) == []
 
     @given(digraphs())
     def test_neighbor_consistency(self, d):
         for v in range(d.n):
-            out, inn = d.out_neighbors(v), d.in_neighbors(v)
-            assert d.neighbors(v) == out | inn
-            assert v not in d.neighbors(v)
+            out = _row(d.out_indptr, d.out_indices, v)
+            inn = _row(d.in_indptr, d.in_indices, v)
+            und = _row(d.und_indptr, d.und_indices, v)
+            assert und == sorted(set(out) | set(inn))
+            assert v not in und
+            assert set(und) == oracles.neighbors(d.n, d.arcs, v)
             for u in out:
-                assert v in d.in_neighbors(u)
+                assert v in _row(d.in_indptr, d.in_indices, u)
 
 
 class TestIsStrong:
@@ -186,12 +195,26 @@ class TestIsStrong:
         assert is_strong(from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
     def test_bidirected_example_is_bidirected(self, d1, d2):
-        assert d1.is_bidirected()
-        assert not d2.is_bidirected()
+        assert np.array_equal(d1.out_indptr, d1.in_indptr)
+        assert np.array_equal(d1.out_indices, d1.in_indices)
+        assert not np.array_equal(d2.out_indices, d2.in_indices)
 
     @given(digraphs())
     def test_matches_transitive_closure_oracle(self, d):
         assert is_strong(d) == oracles.strong_by_closure(d.n, d.arcs)
+
+    @given(digraphs())
+    def test_unreachable_pair_is_the_first_hole(self, d):
+        pair = find_unreachable_pair(d)
+        assert (pair is None) == oracles.strong_by_closure(d.n, d.arcs)
+        if pair is None:
+            return
+        dist = oracles.floyd_warshall(d.n, d.arcs)
+        assert dist[pair[0]][pair[1]] == oracles.INF
+        # (0, least x) with no path 0 -> x, else (least u, 0) with no path u -> 0
+        from_0 = [x for x in range(d.n) if dist[0][x] == oracles.INF]
+        to_0 = [u for u in range(d.n) if dist[u][0] == oracles.INF]
+        assert pair == ((0, from_0[0]) if from_0 else (to_0[0], 0))
 
     @given(digraphs())
     def test_adjacency_helper_matches_is_strong_and_oracle(self, d):

@@ -30,10 +30,25 @@ from strongbounds import (
 )
 from strongbounds import report as report_module
 from strongbounds.cli import main
-from strongbounds.report import AnalysisReport, _encode, _write
+from strongbounds.report import AnalysisReport, _write
 from oracles import ids
 from strategies import digraphs
 from conftest import DATA
+
+
+def _encoded(obj):
+    """The text ``_write`` passes on for ``obj`` at the top level, joined."""
+    pieces: list[str] = []
+    _write(obj, 0, pieces.append)
+    return "".join(pieces)
+
+
+def _report_text(report):
+    """The text ``report.write_json`` writes."""
+    stream = io.StringIO()
+    report.write_json(stream)
+    return stream.getvalue()
+
 
 # Keys and strings that need every kind of escape: quote, backslash, control
 # characters, non-ASCII (BMP and astral, so surrogate pairs) and U+2028.
@@ -296,8 +311,8 @@ class TestReports:
         from strongbounds import analyze_digraph
 
         doc = parse_edge_list(d2_path.read_text())
-        a = analyze_digraph(doc, path=str(d2_path)).to_json()
-        b = analyze_digraph(doc, path=str(d2_path)).to_json()
+        a = _report_text(analyze_digraph(doc, path=str(d2_path)))
+        b = _report_text(analyze_digraph(doc, path=str(d2_path)))
         assert a == b
 
     def test_analyze_digraph_payload(self, d2_path):
@@ -306,7 +321,7 @@ class TestReports:
         from strongbounds import analyze_digraph
 
         doc = parse_edge_list(d2_path.read_text())
-        payload = json.loads(analyze_digraph(doc, path="d2").to_json())
+        payload = json.loads(_report_text(analyze_digraph(doc, path="d2")))
         assert payload["metric"]["eccentricity"] == [4, 3, 2, 3, 4]
         assert payload["metric"]["radius"] == 2
         assert payload["sets"]["boundary"] == [0, 3, 4]
@@ -318,7 +333,7 @@ class TestReports:
     @example([True, 1, False, 0])
     @example({"": {}, "a": [[], [1, 1, -1]], "\u00e9\"": [None, 1.5, "x"]})
     def test_encode_matches_json_dumps(self, obj):
-        assert _encode(obj, 0) == json.dumps(obj, indent=2)
+        assert _encoded(obj) == json.dumps(obj, indent=2)
 
     @given(_int_arrays)
     @example(np.array([], dtype=np.int64))
@@ -327,9 +342,9 @@ class TestReports:
     @example(np.array([-(2**62), 2**62, 0], dtype=np.int64))  # a table over the range is 2**63 long
     def test_encode_int_array_matches_json_dumps(self, arr):
         values = arr.tolist()
-        assert _encode(arr, 0) == json.dumps(values, indent=2)
-        assert _encode({"ids": arr}, 0) == json.dumps({"ids": values}, indent=2)
-        assert _encode([arr, [arr]], 0) == json.dumps([values, [values]], indent=2)
+        assert _encoded(arr) == json.dumps(values, indent=2)
+        assert _encoded({"ids": arr}) == json.dumps({"ids": values}, indent=2)
+        assert _encoded([arr, [arr]]) == json.dumps([values, [values]], indent=2)
 
     @given(_chunked_arrays())
     @example((3, np.array([], dtype=np.int64)))
@@ -343,10 +358,9 @@ class TestReports:
         stream = io.StringIO()
         with mock.patch.object(report_module, "_CHUNK", chunk):
             report.write_json(stream)
-            text = report.to_json()
             _write(arr, 0, pieces.append)
         expected = {"eccentricity": values, "sets": {"boundary": values, "none": []}}
-        assert stream.getvalue() == text == json.dumps(expected, indent=2) + "\n"
+        assert stream.getvalue() == json.dumps(expected, indent=2) + "\n"
         # no piece holds more than one chunk of items
         assert max(piece.count(",") for piece in pieces) <= max(chunk - 1, 1)
 
@@ -358,7 +372,7 @@ class TestReports:
         assert written_large > 3 * written_small
         assert peak_large < 1.5 * peak_small
 
-    # sha256 of to_json(), recorded before the payload's int sequences became ndarrays
+    # sha256 of the write_json text, recorded before the payload's int sequences became ndarrays
     @pytest.mark.parametrize(
         "mode, neighborhood, sha256",
         [
@@ -381,7 +395,7 @@ class TestReports:
             report = analyze_digraph(doc2, path=d2_path.name, neighborhood=neighborhood)
         else:
             report = analyze_product(doc1, doc2, mode=mode, neighborhood=neighborhood)
-        text = report.to_json()
+        text = _report_text(report)
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
@@ -412,4 +426,4 @@ class TestReports:
         doc = parse_edge_list(path.read_text())
         report = analyze_product(doc, doc, budget=1, paths=(str(path), str(path)))
         assert report.payload["product"]["eccentricity"].size > report_module._CHUNK
-        assert (tmp_path / "out.json").read_text(encoding="ascii") == stdout == report.to_json()
+        assert (tmp_path / "out.json").read_text(encoding="ascii") == stdout == _report_text(report)

@@ -18,7 +18,6 @@ from strongbounds import (
     directed_distances_from,
     from_arcs,
     generate_strong_digraph,
-    max_distance,
     metric_profile,
 )
 from strongbounds.digraph import find_unreachable_pair
@@ -122,24 +121,19 @@ class TestAllPairs:
 
 
 class TestMaxAndSumDistance:
+    """md(u, v) = max of the two directed distances, read off metric_profile(d).md."""
+
     def test_example_md_v1_v5(self, d2):
-        m = all_pairs_directed(d2)
-        assert max_distance(m, 0, 4) == 4
-        assert max_distance(m, 4, 0) == 4
+        md = metric_profile(d2).md
+        assert md[0, 4] == md[4, 0] == 4
 
     def test_self_distance_zero(self, d2):
-        m = all_pairs_directed(d2)
-        for v in range(d2.n):
-            assert max_distance(m, v, v) == 0
+        md = metric_profile(d2).md
+        assert all(md[v, v] == 0 for v in range(d2.n))
 
     def test_directed_cycle_values(self):
-        m = all_pairs_directed(from_arcs(3, CYCLE3))
-        assert max_distance(m, 0, 1) == 2
-
-    def test_out_of_range(self, d2):
-        m = all_pairs_directed(d2)
-        with pytest.raises(VertexOutOfRange):
-            max_distance(m, 0, 9)
+        md = metric_profile(from_arcs(3, CYCLE3)).md
+        assert md[0, 1] == 2
 
 
 class TestMetricProfile:

@@ -9,6 +9,7 @@ constructed product.
 """
 
 from .boundary import (
+    SET_NAMES,
     BoundaryProfile,
     boundary_profile,
     boundary_set,
@@ -25,7 +26,6 @@ from .errors import (
     ParseError,
     SizeOverflow,
     StrongboundsError,
-    UnknownSetName,
     VertexOutOfRange,
 )
 from .generator import GeneratedDigraph, GeneratorConfig, generate_strong_digraph
@@ -33,7 +33,6 @@ from .io_formats import (
     EdgeListDocument,
     export_dot,
     parse_edge_list,
-    resolve_set_name,
     serialize_edge_list,
 )
 from .metric import (
@@ -83,11 +82,11 @@ __all__ = [
     "ParallelArc",
     "ParseError",
     "ProductLabel",
+    "SET_NAMES",
     "SizeOverflow",
     "StrongboundsError",
     "UNREACHABLE",
     "UndirectedFormulaReport",
-    "UnknownSetName",
     "VerificationSummary",
     "VertexOutOfRange",
     "all_pairs_directed",
@@ -115,7 +114,6 @@ __all__ = [
     "product_metric_profile",
     "product_metric_summary",
     "product_periphery_via_factors",
-    "resolve_set_name",
     "run_verification",
     "serialize_edge_list",
     "strong_product",

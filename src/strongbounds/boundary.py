@@ -2,9 +2,9 @@
 
 All four extractions run from a precomputed MetricProfile; nothing here
 recomputes distances. Each set is a boolean mask over the vertices, true at
-the members. Neighbor maxima run over the open neighborhood N(v) only. The
-closed neighborhood N[v] = N(v) ∪ {v} is an alias, justified by the proof
-below: the "closed" label that reports carry selects no other code.
+the members. Neighbor maxima run over the open neighborhood N(v) only, and
+every report says so with its constant ``"neighborhood": "open"``. The closed
+neighborhood N[v] = N(v) ∪ {v} needs no code of its own, by the proof below.
 
 The two forms give the same boundary and contour on every digraph. Proof. For
 a candidate witness u, the boundary compares the max of md(u, w) over the
@@ -24,6 +24,10 @@ import numpy as np
 from .digraph import Digraph
 from .metric import MetricProfile
 
+# The four set names, in report order: the BoundaryProfile fields, the report
+# keys and the choices of `export --set`.
+SET_NAMES = ("boundary", "contour", "eccentricity", "periphery")
+
 
 @dataclass(frozen=True, eq=False)
 class BoundaryProfile:
@@ -38,12 +42,12 @@ class BoundaryProfile:
 
     boundary: np.ndarray
     contour: np.ndarray
-    eccentricity_set: np.ndarray
+    eccentricity: np.ndarray
     periphery: np.ndarray
 
     def __post_init__(self):
-        for mask in (self.boundary, self.contour, self.eccentricity_set, self.periphery):
-            mask.setflags(write=False)
+        for name in SET_NAMES:
+            getattr(self, name).setflags(write=False)
 
 
 def _segment_max(gathered: np.ndarray, indptr: np.ndarray) -> np.ndarray:

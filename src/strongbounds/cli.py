@@ -14,20 +14,13 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .boundary import boundary_profile
+from .boundary import SET_NAMES, boundary_profile
 from .errors import NotStrong, ParseError, SizeOverflow, StrongboundsError
 from .generator import GeneratorConfig, generate_strong_digraph
-from .io_formats import (
-    SET_NAMES,
-    EdgeListDocument,
-    export_dot,
-    parse_edge_list,
-    resolve_set_name,
-    serialize_edge_list,
-)
+from .io_formats import EdgeListDocument, export_dot, parse_edge_list, serialize_edge_list
 from .metric import metric_profile
 from .product import DEFAULT_VERTEX_BUDGET
-from .report import NEIGHBORHOODS, AnalysisReport, analyze_digraph, analyze_product
+from .report import AnalysisReport, analyze_digraph, analyze_product
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -64,7 +57,7 @@ def _emit(output: AnalysisReport | str, out: str | None) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    report = analyze_digraph(doc, path=args.input, neighborhood=args.neighborhood)
+    report = analyze_digraph(doc, path=args.input)
     _emit(report.to_text() if args.pretty else report, args.out)
     return EXIT_OK
 
@@ -73,12 +66,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     doc1 = _read_document(args.input1)
     doc2 = _read_document(args.input2)
     report = analyze_product(
-        doc1,
-        doc2,
-        mode=args.mode,
-        budget=args.budget,
-        neighborhood=args.neighborhood,
-        paths=(args.input1, args.input2),
+        doc1, doc2, mode=args.mode, budget=args.budget, paths=(args.input1, args.input2)
     )
     _emit(report.to_text() if args.pretty else report, args.out)
     return EXIT_OK
@@ -121,7 +109,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     highlight = highlight_name = None
     if args.set != "none":
         sets = boundary_profile(metric_profile(doc.digraph), doc.digraph)
-        highlight, highlight_name = resolve_set_name(sets, args.set), args.set
+        highlight, highlight_name = getattr(sets, args.set), args.set
     _emit(export_dot(doc.digraph, doc.labels, highlight, highlight_name), args.out)
     return EXIT_OK
 
@@ -137,12 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--pretty", action="store_true", help="human-readable tables")
-        p.add_argument(
-            "--neighborhood",
-            choices=NEIGHBORHOODS,
-            default="open",
-            help="the report's neighborhood label; both give the same sets (default open)",
-        )
 
     p_an = sub.add_parser("analyze", help="metric profile and boundary-type sets of one digraph")
     p_an.add_argument("input", help="edge-list file")
@@ -196,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="boundary-type set to highlight",
     )
-    p_ex.add_argument("--neighborhood", choices=NEIGHBORHOODS, default="open")
     p_ex.add_argument("--out")
     p_ex.set_defaults(func=_cmd_export)
 

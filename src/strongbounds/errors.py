@@ -51,7 +51,3 @@ class ParseError(StrongboundsError):
 
 class InvalidConfig(StrongboundsError):
     """A generator or verification configuration outside its allowed range."""
-
-
-class UnknownSetName(StrongboundsError):
-    """Requested boundary-type set name does not exist."""

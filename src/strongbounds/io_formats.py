@@ -16,6 +16,11 @@ is given twice, and none spells the id of an unnamed vertex (which shows as
 its id), so no two vertices display alike. Serialization sorts everything, so
 parse and serialize round-trip byte-identically.
 
+Only LF ends a line, so the parser's line numbers count the same breaks as
+the CLI's non-ASCII error does. A CR before the LF is stripped as whitespace,
+so CRLF files parse as their LF copies; a lone CR, VT, FF or \x1c-\x1e is
+whitespace inside its line.
+
 The parser checks syntax and name lines as it reads. `from_arcs` alone checks
 the arc rules (range, loops, repeats), after the last line, and its error gains
 the bad arc's line: any syntax or name fault outranks every arc fault, and arc
@@ -28,18 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryProfile
 from .digraph import Digraph, from_arcs
-from .errors import LoopArc, ParallelArc, ParseError, UnknownSetName, VertexOutOfRange
-
-# report name -> BoundaryProfile field, in report order
-SET_FIELDS = {
-    "boundary": "boundary",
-    "contour": "contour",
-    "eccentricity": "eccentricity_set",
-    "periphery": "periphery",
-}
-SET_NAMES = tuple(SET_FIELDS)
+from .errors import LoopArc, ParallelArc, ParseError, VertexOutOfRange
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +58,7 @@ def parse_edge_list(text: str) -> EdgeListDocument:
     labels: dict[int, str] = {}
     named: dict[str, tuple[int, int]] = {}  # label -> (id, line)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -131,13 +126,6 @@ def serialize_edge_list(
     for a, b in d._arc_array().tolist():  # out-CSR order: ascending (tail, head)
         lines.append(f"{a} {b}")
     return "\n".join(lines) + "\n"
-
-
-def resolve_set_name(profile: BoundaryProfile, name: str) -> np.ndarray:
-    """Map a set name to its member mask; UnknownSetName otherwise."""
-    if name not in SET_FIELDS:
-        raise UnknownSetName(f"unknown set {name!r}; expected one of {SET_NAMES}")
-    return getattr(profile, SET_FIELDS[name])
 
 
 def export_dot(

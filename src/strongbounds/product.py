@@ -319,7 +319,7 @@ def product_boundary_profile_via_factors(f: FactorPair) -> BoundaryProfile:
     return BoundaryProfile(
         boundary=product_boundary_via_factors(f),
         contour=product_contour_via_factors(f),
-        eccentricity_set=product_eccentric_via_factors(f),
+        eccentricity=product_eccentric_via_factors(f),
         periphery=product_periphery_via_factors(f),
     )
 

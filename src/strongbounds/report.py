@@ -1,7 +1,10 @@
 """Analysis reports: deterministic machine-readable JSON, optional pretty text.
 
 Set members are emitted sorted and dict key order is fixed by construction,
-so identical inputs produce byte-identical reports. Every set reaches the
+so identical inputs produce byte-identical reports. The set keys are
+``boundary.SET_NAMES``, in that order, and every report carries the constant
+``"neighborhood": "open"``: the sets are computed over N(v), and ``boundary``
+proves that N[v] gives the same ones. Every set reaches the
 report as a boolean vertex mask; its members are ``mask.nonzero()[0]``,
 ascending. Every integer sequence of a payload (eccentricity vectors, set
 members, differences) is an int ndarray from where it is computed to the
@@ -26,9 +29,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .boundary import BoundaryProfile, boundary_profile
+from .boundary import SET_NAMES, BoundaryProfile, boundary_profile
 from .digraph import Digraph
-from .io_formats import SET_FIELDS, EdgeListDocument
+from .io_formats import EdgeListDocument
 from .metric import metric_profile
 from .product import (
     DEFAULT_VERTEX_BUDGET,
@@ -40,9 +43,6 @@ from .product import (
 )
 
 FORMAT_VERSION = 1
-
-# Report labels only: N(v) and N[v] give the same sets (proof in `boundary`).
-NEIGHBORHOODS = ("open", "closed")
 
 # Items of an int ndarray encoded per piece: large enough that the per-chunk
 # numpy calls cost little, small enough that a chunk's text and temporaries
@@ -101,12 +101,7 @@ def _write(obj, level: int, write: Callable[[str], object]) -> None:
 
 
 def _sets_dict(bp: BoundaryProfile) -> dict:
-    return {name: getattr(bp, field).nonzero()[0] for name, field in SET_FIELDS.items()}
-
-
-def _check_neighborhood(neighborhood: str) -> None:
-    if neighborhood not in NEIGHBORHOODS:
-        raise ValueError(f"neighborhood must be one of {NEIGHBORHOODS}, got {neighborhood!r}")
+    return {name: getattr(bp, name).nonzero()[0] for name in SET_NAMES}
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +128,8 @@ class AnalysisReport:
         return render_pretty(self.payload)
 
 
-def analyze_digraph(
-    doc: EdgeListDocument, path: str = "<memory>", neighborhood: str = "open"
-) -> AnalysisReport:
-    """Full metric and boundary-type analysis of one strong digraph; neighborhood is a label."""
-    _check_neighborhood(neighborhood)
+def analyze_digraph(doc: EdgeListDocument, path: str = "<memory>") -> AnalysisReport:
+    """Full metric and boundary-type analysis of one strong digraph."""
     d = doc.digraph
     profile = metric_profile(d)
     sets = boundary_profile(profile, d)
@@ -151,7 +143,7 @@ def analyze_digraph(
             "strong": True,
             "labels": {str(v): doc.labels[v] for v in sorted(doc.labels)},
         },
-        "neighborhood": neighborhood,
+        "neighborhood": "open",
         "metric": {
             "eccentricity": profile.ecc,
             "radius": profile.radius,
@@ -167,16 +159,14 @@ def analyze_product(
     doc2: EdgeListDocument,
     mode: str = "formula",
     budget: int = DEFAULT_VERTEX_BUDGET,
-    neighborhood: str = "open",
     paths: tuple[str, str] = ("<memory>", "<memory>"),
 ) -> AnalysisReport:
     """Product analysis in formula, oracle, or both mode.
 
     Formula mode never builds the product; oracle mode builds it and runs the
     definition-level machinery; both mode runs the two and reports their
-    per-set symmetric differences. neighborhood only labels the report.
+    per-set symmetric differences.
     """
-    _check_neighborhood(neighborhood)
     if mode not in ("formula", "oracle", "both"):
         raise ValueError(f"mode must be formula|oracle|both, got {mode!r}")
     d1, d2 = doc1.digraph, doc2.digraph
@@ -198,7 +188,7 @@ def analyze_product(
         "kind": "product-analysis",
         "format_version": FORMAT_VERSION,
         "mode": mode,
-        "neighborhood": neighborhood,
+        "neighborhood": "open",
         "factors": [
             factor_entry(paths[0], doc1, pair.p1),
             factor_entry(paths[1], doc2, pair.p2),
@@ -225,8 +215,8 @@ def analyze_product(
         payload["oracle_sets"] = _sets_dict(oracle_sets)
     if mode == "both":
         payload["differences"] = {
-            name: (getattr(formula_sets, field) ^ getattr(oracle_sets, field)).nonzero()[0]
-            for name, field in SET_FIELDS.items()
+            name: (getattr(formula_sets, name) ^ getattr(oracle_sets, name)).nonzero()[0]
+            for name in SET_NAMES
         }
     payload["set_provenance"] = {
         "formula_sets": "factor formulas (no product built)" if formula_sets else None,

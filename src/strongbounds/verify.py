@@ -151,7 +151,7 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
         formulas = {
             "boundary-formula-vs-direct": (product_boundary_via_factors, direct.boundary),
             "periphery-formula-vs-direct": (product_periphery_via_factors, direct.periphery),
-            "eccentric-formula-vs-direct": (product_eccentric_via_factors, direct.eccentricity_set),
+            "eccentric-formula-vs-direct": (product_eccentric_via_factors, direct.eccentricity),
             "contour-formula-vs-direct": (product_contour_via_factors, direct.contour),
         }
         if prop in formulas:
@@ -163,9 +163,9 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
 
         if prop == "inclusion-chains":
             for tag, _, _, bp in sides:
-                if (bp.periphery & ~(bp.contour & bp.eccentricity_set)).any():
+                if (bp.periphery & ~(bp.contour & bp.eccentricity)).any():
                     return f"{tag}: periphery not within contour ∩ eccentricity set"
-                if ((bp.eccentricity_set | bp.contour) & ~bp.boundary).any():
+                if ((bp.eccentricity | bp.contour) & ~bp.boundary).any():
                     return f"{tag}: eccentricity set ∪ contour not within boundary"
             return None
 

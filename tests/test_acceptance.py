@@ -167,7 +167,7 @@ def test_criterion_2_formula_vs_direct_equivalence(corpus):
             mismatches["boundary"] += 1
         if ids(e.formula.periphery) != ids(e.direct.periphery):
             mismatches["periphery"] += 1
-        if ids(e.formula.eccentric) != ids(e.direct.eccentricity_set):
+        if ids(e.formula.eccentric) != ids(e.direct.eccentricity):
             mismatches["eccentric"] += 1
         if ids(e.formula.contour) != ids(e.direct.contour):
             mismatches["contour"] += 1
@@ -239,9 +239,9 @@ def test_criterion_5_inclusion_chains(corpus):
     checked = 0
     for e in corpus.entries:
         for bp in (e.pair.b1, e.pair.b2, e.direct):
-            if not ids(bp.periphery) <= (ids(bp.contour) & ids(bp.eccentricity_set)):
+            if not ids(bp.periphery) <= (ids(bp.contour) & ids(bp.eccentricity)):
                 ok = False
-            if not (ids(bp.eccentricity_set) | ids(bp.contour)) <= ids(bp.boundary):
+            if not (ids(bp.eccentricity) | ids(bp.contour)) <= ids(bp.boundary):
                 ok = False
             checked += 1
     _report("criterion 5 (inclusion chains)", ok, f"{checked} profiles incl. products")

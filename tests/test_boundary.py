@@ -15,12 +15,10 @@ from strongbounds import (
     from_arcs,
     is_strong,
     metric_profile,
-    parse_edge_list,
     periphery_set,
     strong_product,
 )
 from strongbounds.boundary import _boundary_witnesses, _segment_max
-from strongbounds.report import NEIGHBORHOODS, analyze_digraph, analyze_product
 from conftest import NON_ECCENTRIC_MEMBER
 from oracles import ids
 from strategies import digraphs, strong_digraphs
@@ -116,7 +114,7 @@ class TestDegenerateShapes:
     def test_single_vertex_all_sets(self, k1):
         p = metric_profile(k1)
         bp = boundary_profile(p, k1)
-        assert ids(bp.boundary) == ids(bp.contour) == ids(bp.eccentricity_set) == {0}
+        assert ids(bp.boundary) == ids(bp.contour) == ids(bp.eccentricity) == {0}
         assert ids(bp.periphery) == {0}
 
 
@@ -233,15 +231,14 @@ class TestNeighbourhoodReductions:
         assert out.dtype == dtype
         assert out.tolist() == [max(r, default=-1) for r in rows]
 
-    @pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
-    def test_one_vertex(self, k1, neighborhood):
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_one_vertex(self, k1, closed):
         """The empty row reduces to -1; the vertex is in its boundary and contour
         by the library scan and by the oracle under N(v) and N[v] alike."""
         p = metric_profile(k1)
         assert _segment_max(p.ecc[k1.und_indices], k1.und_indptr).tolist() == [-1]
         assert _boundary_witnesses(p, k1).tolist() == [0]
         assert contour_set(p, k1).tolist() == [True]
-        closed = neighborhood == "closed"
         md = oracles.md_table(k1.n, k1.arcs)
         assert oracles.boundary(k1.n, k1.arcs, md, closed=closed) == ids(boundary_set(p, k1)) == {0}
         assert oracles.contour(k1.n, k1.arcs, md, closed=closed) == ids(contour_set(p, k1)) == {0}
@@ -252,8 +249,8 @@ class TestProperties:
     @given(strong_digraphs())
     def test_inclusion_chains(self, d):
         bp = boundary_profile(metric_profile(d), d)
-        assert ids(bp.periphery) <= ids(bp.contour) & ids(bp.eccentricity_set)
-        assert ids(bp.eccentricity_set) | ids(bp.contour) <= ids(bp.boundary)
+        assert ids(bp.periphery) <= ids(bp.contour) & ids(bp.eccentricity)
+        assert ids(bp.eccentricity) | ids(bp.contour) <= ids(bp.boundary)
 
     @settings(max_examples=30, deadline=None)
     @given(strong_digraphs(max_n=4), strong_digraphs(max_n=4))
@@ -269,22 +266,17 @@ class TestProperties:
     @given(strong_digraphs())
     def test_all_sets_nonempty(self, d):
         bp = boundary_profile(metric_profile(d), d)
-        assert ids(bp.boundary) and ids(bp.contour) and ids(bp.eccentricity_set)
+        assert ids(bp.boundary) and ids(bp.contour) and ids(bp.eccentricity)
         assert ids(bp.periphery)
 
     def test_profile_masks_are_read_only(self, p2, d2):
         bp = boundary_profile(p2, d2)
-        for mask in (bp.boundary, bp.contour, bp.eccentricity_set, bp.periphery):
+        for mask in (bp.boundary, bp.contour, bp.eccentricity, bp.periphery):
             assert mask.dtype == bool and mask.shape == (d2.n,)
             with pytest.raises(ValueError):
                 mask[0] = not mask[0]
 
-    def test_bad_neighborhood_flag(self, p1, d1, d1_path):
-        """The reports check the neighborhood label; the set functions take none."""
-        doc = parse_edge_list(d1_path.read_text())
-        with pytest.raises(ValueError):
-            analyze_digraph(doc, neighborhood="semiclosed")
-        with pytest.raises(ValueError):
-            analyze_product(doc, doc, neighborhood="semiclosed")
+    def test_bad_neighborhood_flag(self, p1, d1):
+        """The set functions take no neighborhood argument."""
         with pytest.raises(TypeError):
             boundary_set(p1, d1, "closed")

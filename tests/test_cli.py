@@ -191,6 +191,15 @@ class TestStrictInput:
         assert code == 2
         assert err == "error: line 3: non-ASCII byte 0xc3\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "product", "export"])
+    def test_neighborhood_option_exit_2(self, capsys, d1_path, command):
+        """Both neighborhoods give the same sets, so no option picks one."""
+        inputs = [str(d1_path)] * (2 if command == "product" else 1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--neighborhood", "closed"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --neighborhood closed" in capsys.readouterr().err
+
 
 class TestProduct:
     def test_both_mode_example(self, capsys, d1_path, d2_path):

@@ -1,5 +1,6 @@
 """Edge-list parsing/serialization, DOT export and JSON reports."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,18 +15,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from strongbounds import (
+    SET_NAMES,
+    BoundaryProfile,
     LoopArc,
     ParallelArc,
     ParseError,
-    UnknownSetName,
     VertexOutOfRange,
+    analyze_digraph,
     analyze_product,
     boundary_profile,
+    boundary_set,
+    contour_set,
+    eccentric_set,
     export_dot,
     from_arcs,
     metric_profile,
     parse_edge_list,
-    resolve_set_name,
+    periphery_set,
     serialize_edge_list,
 )
 from strongbounds import report as report_module
@@ -132,6 +138,21 @@ class TestParse:
 
     def test_no_trailing_newline(self):
         assert parse_edge_list("n 2\n0 1\n1 0").digraph.arc_count == 2
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"])
+    def test_only_lf_breaks_lines(self, sep):
+        """Other line-break characters are whitespace inside a line: the arcs
+        around one make a four-token line 2, however they read as two arcs."""
+        for arcs in ("0 1{}1 1", "0 1{}1 0"):
+            with pytest.raises(ParseError) as exc:
+                parse_edge_list("n 2\n" + arcs.format(sep) + "\n")
+            assert exc.value.line == 2
+            assert exc.value.reason.startswith("expected '<tail> <head>'")
+
+    def test_crlf_parses_as_lf(self, d2_path):
+        text = d2_path.read_text()
+        crlf, lf = parse_edge_list(text.replace("\n", "\r\n")), parse_edge_list(text)
+        assert crlf.digraph == lf.digraph and crlf.labels == lf.labels
 
     def test_missing_header(self):
         with pytest.raises(ParseError) as exc:
@@ -293,23 +314,29 @@ class TestDot:
         text = export_dot(prod)
         assert text.count("->") == prod.arc_count == 76
 
-    def test_unknown_set_name(self, d1):
-        sets = boundary_profile(metric_profile(d1), d1)
-        with pytest.raises(UnknownSetName):
-            resolve_set_name(sets, "hull")
+    def test_set_names_are_the_profile_fields(self):
+        assert SET_NAMES == tuple(f.name for f in dataclasses.fields(BoundaryProfile))
 
-    def test_resolve_known_names(self, d1):
-        sets = boundary_profile(metric_profile(d1), d1)
-        assert ids(resolve_set_name(sets, "boundary")) == ids(sets.boundary)
-        assert ids(resolve_set_name(sets, "eccentricity")) == ids(sets.eccentricity_set)
-        assert ids(resolve_set_name(sets, "contour")) == ids(sets.contour)
-        assert ids(resolve_set_name(sets, "periphery")) == ids(sets.periphery)
+    def test_resolve_known_names(self, d2_path):
+        """Each `export --set` name reads its set's mask with getattr, and the
+        report lists the same sets under the same names, in SET_NAMES order."""
+        doc = parse_edge_list(d2_path.read_text())
+        d, p = doc.digraph, metric_profile(doc.digraph)
+        sets = boundary_profile(p, d)
+        expected = {
+            "boundary": boundary_set(p, d),
+            "contour": contour_set(p, d),
+            "eccentricity": eccentric_set(p),
+            "periphery": periphery_set(p),
+        }
+        report_sets = analyze_digraph(doc).payload["sets"]
+        assert tuple(report_sets) == SET_NAMES
+        for name in SET_NAMES:
+            assert ids(getattr(sets, name)) == ids(expected[name]) == set(report_sets[name])
 
 
 class TestReports:
     def test_analyze_digraph_deterministic(self, d2, d2_path):
-        from strongbounds import analyze_digraph
-
         doc = parse_edge_list(d2_path.read_text())
         a = _report_text(analyze_digraph(doc, path=str(d2_path)))
         b = _report_text(analyze_digraph(doc, path=str(d2_path)))
@@ -317,8 +344,6 @@ class TestReports:
 
     def test_analyze_digraph_payload(self, d2_path):
         import json
-
-        from strongbounds import analyze_digraph
 
         doc = parse_edge_list(d2_path.read_text())
         payload = json.loads(_report_text(analyze_digraph(doc, path="d2")))
@@ -374,27 +399,22 @@ class TestReports:
 
     # sha256 of the write_json text, recorded before the payload's int sequences became ndarrays
     @pytest.mark.parametrize(
-        "mode, neighborhood, sha256",
+        "mode, sha256",
         [
-            ("analyze", "open", "08f59ead7579d4cb09e32e1339df238ba17d3d6ac815440fad7faeb044ec3762"),
-            ("analyze", "closed", "a27b934dee4dc9352365b54dc5ec5329807bdcbbf4dbfdbeb7936cd6a8ed84d2"),
-            ("formula", "open", "c63785208288fe6f05c205ae3beb86cd71caad92bb36fc0663991da591cee694"),
-            ("oracle", "open", "ad18652334f34627c7fb156076b2ae4a04530151fc3a35662149580474d9889c"),
-            ("both", "open", "77bdba690f07ceb6b7d11d025ee19d9aa63556c0b8c99210b26fd7c9475c8318"),
-            ("both", "closed", "3aeadca1b03e527e313f8c69b0d090168ea234c1d3dadf68012aef7711505c23"),
+            ("analyze", "08f59ead7579d4cb09e32e1339df238ba17d3d6ac815440fad7faeb044ec3762"),
+            ("formula", "c63785208288fe6f05c205ae3beb86cd71caad92bb36fc0663991da591cee694"),
+            ("oracle", "ad18652334f34627c7fb156076b2ae4a04530151fc3a35662149580474d9889c"),
+            ("both", "77bdba690f07ceb6b7d11d025ee19d9aa63556c0b8c99210b26fd7c9475c8318"),
         ],
-        ids=["analyze-open", "analyze-closed", "formula-open", "oracle-open", "both-open",
-             "both-closed"],
+        ids=["analyze-open", "formula-open", "oracle-open", "both-open"],
     )
-    def test_report_layout_is_json_dumps(self, mode, neighborhood, sha256, d1_path, d2_path):
-        from strongbounds import analyze_digraph, analyze_product
-
+    def test_report_layout_is_json_dumps(self, mode, sha256, d1_path, d2_path):
         doc1 = parse_edge_list(d1_path.read_text())
         doc2 = parse_edge_list(d2_path.read_text())
         if mode == "analyze":
-            report = analyze_digraph(doc2, path=d2_path.name, neighborhood=neighborhood)
+            report = analyze_digraph(doc2, path=d2_path.name)
         else:
-            report = analyze_product(doc1, doc2, mode=mode, neighborhood=neighborhood)
+            report = analyze_product(doc1, doc2, mode=mode)
         text = _report_text(report)
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == sha256

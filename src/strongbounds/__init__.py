@@ -28,7 +28,7 @@ from .errors import (
     StrongboundsError,
     VertexOutOfRange,
 )
-from .generator import GeneratedDigraph, GeneratorConfig, generate_strong_digraph
+from .generator import GeneratedDigraph, generate_strong_digraph
 from .io_formats import (
     EdgeListDocument,
     export_dot,
@@ -60,20 +60,18 @@ from .product import (
     strong_product,
     undirected_formula_counterexample,
 )
-from .report import AnalysisReport, analyze_digraph, analyze_product
+from .report import analyze_digraph, analyze_product, write_json
 from .verify import PROPERTIES, VerificationSummary, run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "BoundaryProfile",
     "DEFAULT_VERTEX_BUDGET",
     "Digraph",
     "EdgeListDocument",
     "FactorPair",
     "GeneratedDigraph",
-    "GeneratorConfig",
     "InvalidConfig",
     "LoopArc",
     "MetricProfile",
@@ -118,4 +116,5 @@ __all__ = [
     "serialize_edge_list",
     "strong_product",
     "undirected_formula_counterexample",
+    "write_json",
 ]

@@ -91,6 +91,11 @@ def _sparse_step(flat, keys, cols, counts, indptr, indices, offsets):
     are deduplicated by writing a distinct negative tag (below the -1
     sentinel) into each candidate cell and keeping the candidates whose tag
     survived, nearly all of them on sparse graphs: a boolean index again.
+    The dedupe keeps it because the shape that runs it at scale, a padded
+    bidirected 1 000-path, favours it: 2.4 ms of dedupe masks per kernel run
+    against 4.6 ms with `compress`. A 40×40 bidirected grid, where about half
+    the candidates are duplicates, goes the other way (33.6 against 14.6 ms);
+    both measured on masks recorded from a run, shared 2-vCPU VM.
     """
     if offsets is not None:
         cand = (keys[:, None] + offsets.take(cols, axis=0)).reshape(-1)

@@ -16,11 +16,11 @@ from pathlib import Path
 
 from .boundary import SET_NAMES, boundary_profile
 from .errors import NotStrong, ParseError, SizeOverflow, StrongboundsError
-from .generator import GeneratorConfig, generate_strong_digraph
+from .generator import generate_strong_digraph
 from .io_formats import EdgeListDocument, export_dot, parse_edge_list, serialize_edge_list
 from .metric import metric_profile
 from .product import DEFAULT_VERTEX_BUDGET
-from .report import AnalysisReport, analyze_digraph, analyze_product
+from .report import analyze_digraph, analyze_product, render_pretty, write_json
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -40,11 +40,11 @@ def _read_document(path: str) -> EdgeListDocument:
     return parse_edge_list(text)
 
 
-def _emit(output: AnalysisReport | str, out: str | None) -> None:
+def _emit(output: dict | str, out: str | None) -> None:
     """Write ``output`` to the ``--out`` file, as ASCII, or to stdout.
 
-    A report streams its JSON through ``write_json`` without building the
-    whole text; pretty, edge-list and DOT text comes built. Every command
+    A report payload streams its JSON through ``write_json`` without building
+    the whole text; pretty, edge-list and DOT text comes built. Every command
     finishes its output before this opens the file, so a run that fails
     leaves no file behind.
     """
@@ -52,13 +52,13 @@ def _emit(output: AnalysisReport | str, out: str | None) -> None:
         if isinstance(output, str):
             f.write(output)
         else:
-            output.write_json(f)
+            write_json(output, f)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
     report = analyze_digraph(doc, path=args.input)
-    _emit(report.to_text() if args.pretty else report, args.out)
+    _emit(render_pretty(report) if args.pretty else report, args.out)
     return EXIT_OK
 
 
@@ -68,7 +68,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     report = analyze_product(
         doc1, doc2, mode=args.mode, budget=args.budget, paths=(args.input1, args.input2)
     )
-    _emit(report.to_text() if args.pretty else report, args.out)
+    _emit(render_pretty(report) if args.pretty else report, args.out)
     return EXIT_OK
 
 
@@ -94,10 +94,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = GeneratorConfig(n=args.n, p=args.p, seed=args.seed, max_retries=args.max_retries)
-    result = generate_strong_digraph(cfg)
+    result = generate_strong_digraph(args.n, args.p, args.seed, args.max_retries)
     comments = (
-        f"generated: n={cfg.n} p={cfg.p} seed={cfg.seed} "
+        f"generated: n={args.n} p={args.p} seed={args.seed} "
         f"attempts={result.attempts} augmented={str(result.augmented).lower()}",
     )
     _emit(serialize_edge_list(result.digraph, comments=comments), args.out)

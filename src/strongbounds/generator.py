@@ -1,5 +1,9 @@
 """Reproducible random strong digraphs for tests and the verify harness.
 
+``generate_strong_digraph(n, p, seed, max_retries)`` takes its parameters
+directly and rejects a bad one with ``InvalidConfig``. Identical arguments
+give identical digraphs: each draw comes from one PCG64 stream per seed.
+
 A factor's attempts are drawn in chunks, one ``rng.random((b, n, n))`` call
 per chunk of b attempts, with b chosen so a chunk holds at most
 ``_DRAW_CELLS`` cells (one attempt per call once two no longer fit, so a
@@ -29,34 +33,15 @@ _DRAW_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    """Identical configs produce identical digraphs (PCG64 stream)."""
-
-    n: int
-    p: float
-    seed: int
-    max_retries: int = 20
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise InvalidConfig(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidConfig(f"p must be in [0, 1], got {self.p}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if self.max_retries < 0:
-            raise InvalidConfig(f"max_retries must be >= 0, got {self.max_retries}")
-
-
-@dataclass(frozen=True)
 class GeneratedDigraph:
     digraph: Digraph
-    config: GeneratorConfig
     attempts: int
     augmented: bool
 
 
-def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
+def generate_strong_digraph(
+    n: int, p: float, seed: int = 0, max_retries: int = 20
+) -> GeneratedDigraph:
     """Sample each ordered non-loop pair with probability p until strong.
 
     Strongness is tested on the boolean draw itself; only the kept draw is
@@ -75,20 +60,26 @@ def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
     v -> (v + 1) % n with n > 1, so none is a loop. n <= _MAX_DRAW_N, far
     below the int64 key limit, so every key fits.
     """
-    cfg.validate()
-    n = cfg.n
+    if n < 1:
+        raise InvalidConfig(f"n must be >= 1, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise InvalidConfig(f"p must be in [0, 1], got {p}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    if max_retries < 0:
+        raise InvalidConfig(f"max_retries must be >= 0, got {max_retries}")
     if n > _MAX_DRAW_N:
         raise SizeOverflow(
             f"n={n} exceeds {_MAX_DRAW_N}: the n x n float64 draw needs 2**63 bytes or more"
         )
-    rng = np.random.default_rng(cfg.seed)
-    tries = cfg.max_retries + 1
+    rng = np.random.default_rng(seed)
+    tries = max_retries + 1
     chunk = max(1, min(tries, _DRAW_CELLS // (n * n)))
     attempts, kept = 0, None
     while kept is None and attempts < tries:
         b = min(chunk, tries - attempts)
         # a lone attempt asks for (n, n), as an out-of-memory diagnostic shows
-        draws = (rng.random((b, n, n) if b > 1 else (n, n)) < cfg.p).reshape(b, n, n)
+        draws = (rng.random((b, n, n) if b > 1 else (n, n)) < p).reshape(b, n, n)
         draws.reshape(b, n * n)[:, :: n + 1] = False
         # n = 1 passes: its one vertex needs no arc to be strong
         screened = (draws.any(axis=2) & draws.any(axis=1)).all(axis=1) | (n == 1)
@@ -106,4 +97,4 @@ def generate_strong_digraph(cfg: GeneratorConfig) -> GeneratedDigraph:
             v = np.arange(n)
             kept[v, (v + 1) % n] = True
     d = _from_out_keys(n, np.flatnonzero(kept))
-    return GeneratedDigraph(digraph=d, config=cfg, attempts=attempts, augmented=augmented)
+    return GeneratedDigraph(digraph=d, attempts=attempts, augmented=augmented)

@@ -1,29 +1,30 @@
 """Analysis reports: deterministic machine-readable JSON, optional pretty text.
 
-Set members are emitted sorted and dict key order is fixed by construction,
-so identical inputs produce byte-identical reports. The set keys are
-``boundary.SET_NAMES``, in that order, and every report carries the constant
-``"neighborhood": "open"``: the sets are computed over N(v), and ``boundary``
-proves that N[v] gives the same ones. Every set reaches the
-report as a boolean vertex mask; its members are ``mask.nonzero()[0]``,
-ascending. Every integer sequence of a payload (eccentricity vectors, set
-members, differences) is an int ndarray from where it is computed to the
-encoder. The JSON text is byte-identical to ``json.dumps(..., indent=2)`` of
-the same values as lists, plus a trailing newline. ``_write`` writes that
-layout directly: with an indent, ``json.dumps`` runs its pure-Python encoder,
-one generator frame per item of a 10^6-entry product eccentricity vector,
-while ``_write`` encodes an ndarray ``_CHUNK`` items at a time, one ``join``
-over the chunk's decimal strings (``_int_items``), and hands each piece to a
-``write`` callable as it is made. ``AnalysisReport.write_json`` streams the
-pieces to a file, so encoding holds O(``_CHUNK``) text at a time however
-long the arrays are.
+``analyze_digraph`` and ``analyze_product`` return a report as its payload,
+a plain dict; ``write_json`` writes a payload as JSON and ``render_pretty``
+renders it as text. Set members are emitted sorted and dict key order is
+fixed by construction, so identical inputs produce byte-identical reports.
+The set keys are ``boundary.SET_NAMES``, in that order, and every report
+carries the constant ``"neighborhood": "open"``: the sets are computed over
+N(v), and ``boundary`` proves that N[v] gives the same ones. Every set
+reaches the report as a boolean vertex mask; its members are
+``mask.nonzero()[0]``, ascending. Every integer sequence of a payload
+(eccentricity vectors, set members, differences) is an int ndarray from
+where it is computed to the encoder. The JSON text is byte-identical to
+``json.dumps(..., indent=2)`` of the same values as lists, plus a trailing
+newline. ``_write`` writes that layout directly: with an indent,
+``json.dumps`` runs its pure-Python encoder, one generator frame per item of
+a 10^6-entry product eccentricity vector, while ``_write`` encodes an
+ndarray ``_CHUNK`` items at a time, one ``join`` over the chunk's decimal
+strings (``_int_items``), and hands each piece to a ``write`` callable as it
+is made. ``write_json`` streams the pieces to a file, so encoding holds
+O(``_CHUNK``) text at a time however long the arrays are.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
@@ -104,36 +105,27 @@ def _sets_dict(bp: BoundaryProfile) -> dict:
     return {name: getattr(bp, name).nonzero()[0] for name in SET_NAMES}
 
 
-@dataclass(frozen=True, eq=False)
-class AnalysisReport:
-    """Single digraph or product analysis, rendered to JSON or a text table."""
+def write_json(payload: dict, stream: TextIO) -> None:
+    """Write ``payload`` as JSON text, plus a trailing newline, to ``stream``.
 
-    payload: dict
-
-    def write_json(self, stream: TextIO) -> None:
-        """Write the payload as JSON text, plus a trailing newline, to ``stream``.
-
-        The text is byte-identical to ``json.dumps(..., indent=2)`` of the
-        payload with each int ndarray as a list. ``_write`` matches ``json``
-        because it is built from the same pieces: keys and strings go through
-        ``encode_basestring_ascii``, other scalars through ``json.dumps``, the
-        items of an int ndarray through ``str`` of Python ints (``json``
-        writes ``int.__repr__``, the same text), joined with the same ``","``
-        and ``": "`` separators and two-space indent.
-        """
-        _write(self.payload, 0, stream.write)
-        stream.write("\n")
-
-    def to_text(self) -> str:
-        return render_pretty(self.payload)
+    The text is byte-identical to ``json.dumps(..., indent=2)`` of the
+    payload with each int ndarray as a list. ``_write`` matches ``json``
+    because it is built from the same pieces: keys and strings go through
+    ``encode_basestring_ascii``, other scalars through ``json.dumps``, the
+    items of an int ndarray through ``str`` of Python ints (``json`` writes
+    ``int.__repr__``, the same text), joined with the same ``","`` and
+    ``": "`` separators and two-space indent.
+    """
+    _write(payload, 0, stream.write)
+    stream.write("\n")
 
 
-def analyze_digraph(doc: EdgeListDocument, path: str = "<memory>") -> AnalysisReport:
-    """Full metric and boundary-type analysis of one strong digraph."""
+def analyze_digraph(doc: EdgeListDocument, path: str = "<memory>") -> dict:
+    """Report payload: full metric and boundary-type analysis of one strong digraph."""
     d = doc.digraph
     profile = metric_profile(d)
     sets = boundary_profile(profile, d)
-    payload = {
+    return {
         "kind": "digraph-analysis",
         "format_version": FORMAT_VERSION,
         "input": {
@@ -151,7 +143,6 @@ def analyze_digraph(doc: EdgeListDocument, path: str = "<memory>") -> AnalysisRe
         },
         "sets": _sets_dict(sets),
     }
-    return AnalysisReport(payload)
 
 
 def analyze_product(
@@ -160,8 +151,8 @@ def analyze_product(
     mode: str = "formula",
     budget: int = DEFAULT_VERTEX_BUDGET,
     paths: tuple[str, str] = ("<memory>", "<memory>"),
-) -> AnalysisReport:
-    """Product analysis in formula, oracle, or both mode.
+) -> dict:
+    """Report payload: product analysis in formula, oracle, or both mode.
 
     Formula mode never builds the product; oracle mode builds it and runs the
     definition-level machinery; both mode runs the two and reports their
@@ -222,7 +213,7 @@ def analyze_product(
         "formula_sets": "factor formulas (no product built)" if formula_sets else None,
         "oracle_sets": "definition-level on the constructed product" if oracle_sets else None,
     }
-    return AnalysisReport(payload)
+    return payload
 
 
 def _format_set(ids: np.ndarray, labels: dict[str, str], n2: int | None) -> str:

@@ -14,12 +14,18 @@ contour form on 190/200. The harness is the instrument that shows it, not a
 bug in itself. Periphery, eccentricity-set, and all metric identities are
 expected to pass always.
 
+The four formula properties compare `product_boundary_profile_via_factors`
+with the product's direct `boundary_profile`, one field each
+(`_FORMULA_FIELDS`). Factor sizes are drawn from 2..n_max, so an n_max² past
+`DEFAULT_VERTEX_BUDGET` is refused before any trial is drawn.
+
 `open-closed-equivalence` checks the library's open-form boundary and contour
 against `_closed_sets`, a definition-level reference over N[v] = N(v) ∪ {v}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,15 +33,13 @@ import numpy as np
 from .boundary import boundary_profile
 from .digraph import Digraph, _adjacency_is_strong, _from_out_keys
 from .errors import InvalidConfig, SizeOverflow
-from .generator import GeneratorConfig, generate_strong_digraph
+from .generator import generate_strong_digraph
 from .metric import MetricProfile, metric_profile
 from .product import (
+    DEFAULT_VERTEX_BUDGET,
     FactorPair,
-    product_boundary_via_factors,
-    product_contour_via_factors,
-    product_eccentric_via_factors,
+    product_boundary_profile_via_factors,
     product_metric_profile,
-    product_periphery_via_factors,
     strong_product,
 )
 from .io_formats import serialize_edge_list
@@ -50,6 +54,13 @@ PROPERTIES = (
     "inclusion-chains",
     "open-closed-equivalence",
 )
+
+_FORMULA_FIELDS = {
+    "boundary-formula-vs-direct": "boundary",
+    "periphery-formula-vs-direct": "periphery",
+    "eccentric-formula-vs-direct": "eccentricity",
+    "contour-formula-vs-direct": "contour",
+}
 
 
 @dataclass(frozen=True)
@@ -118,15 +129,15 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
     The product and every profile and set are built once, for all properties.
     """
     pair = FactorPair.from_digraphs(d1, d2)
-    if any(prop != "metric-axioms" for prop in props):
-        prod, _ = strong_product(d1, d2)
-        prod_profile = metric_profile(prod)
-        direct = boundary_profile(prod_profile, prod)
-        sides = (
-            ("D1", d1, pair.p1, pair.b1),
-            ("D2", d2, pair.p2, pair.b2),
-            ("product", prod, prod_profile, direct),
-        )
+    prod, _ = strong_product(d1, d2)
+    prod_profile = metric_profile(prod)
+    direct = boundary_profile(prod_profile, prod)
+    formulas = product_boundary_profile_via_factors(pair)
+    sides = (
+        ("D1", d1, pair.p1, pair.b1),
+        ("D2", d2, pair.p2, pair.b2),
+        ("product", prod, prod_profile, direct),
+    )
 
     def check(prop: str) -> str | None:
         if prop == "metric-axioms":
@@ -148,15 +159,9 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
                 return "product diameter differs from max of factor diameters"
             return None
 
-        formulas = {
-            "boundary-formula-vs-direct": (product_boundary_via_factors, direct.boundary),
-            "periphery-formula-vs-direct": (product_periphery_via_factors, direct.periphery),
-            "eccentric-formula-vs-direct": (product_eccentric_via_factors, direct.eccentricity),
-            "contour-formula-vs-direct": (product_contour_via_factors, direct.contour),
-        }
-        if prop in formulas:
-            formula_of, expected = formulas[prop]
-            formula = formula_of(pair)
+        if prop in _FORMULA_FIELDS:
+            formula = getattr(formulas, _FORMULA_FIELDS[prop])
+            expected = getattr(direct, _FORMULA_FIELDS[prop])
             if (formula != expected).any():
                 return f"symmetric difference {(formula ^ expected).nonzero()[0].tolist()}"
             return None
@@ -169,14 +174,12 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
                     return f"{tag}: eccentricity set ∪ contour not within boundary"
             return None
 
-        if prop == "open-closed-equivalence":
-            for tag, d, p, bp in sides:
-                for name, closed in zip(("boundary", "contour"), _closed_sets(p, d)):
-                    if (getattr(bp, name) != closed).any():
-                        return f"{tag}: {name} differs between open and closed neighborhoods"
-            return None
-
-        raise ValueError(f"unknown property {prop!r}")
+        # open-closed-equivalence
+        for tag, d, p, bp in sides:
+            for name, closed in zip(("boundary", "contour"), _closed_sets(p, d)):
+                if (getattr(bp, name) != closed).any():
+                    return f"{tag}: {name} differs between open and closed neighborhoods"
+        return None
 
     return {prop: check(prop) for prop in props}
 
@@ -231,8 +234,11 @@ def run_verification(
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if n_max < 2:
         raise InvalidConfig(f"n_max must be >= 2, got {n_max}")
-    if n_max > 2**63 - 1:
-        raise SizeOverflow(f"n_max {n_max} is past the int64 range of factor sizes")
+    if n_max * n_max > DEFAULT_VERTEX_BUDGET:
+        raise SizeOverflow(
+            f"--n-max {n_max} exceeds {math.isqrt(DEFAULT_VERTEX_BUDGET)}: a product of two"
+            f" factors could exceed the budget of {DEFAULT_VERTEX_BUDGET} vertices"
+        )
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     if not p_values:
@@ -246,8 +252,8 @@ def run_verification(
         p = p_values[t % len(p_values)]
         s1 = int(master.integers(0, 2**63 - 1))
         s2 = int(master.integers(0, 2**63 - 1))
-        d1 = generate_strong_digraph(GeneratorConfig(n=n1, p=p, seed=s1)).digraph
-        d2 = generate_strong_digraph(GeneratorConfig(n=n2, p=p, seed=s2)).digraph
+        d1 = generate_strong_digraph(n1, p, s1).digraph
+        d2 = generate_strong_digraph(n2, p, s2).digraph
         for prop, msg in _check_trial(d1, d2, PROPERTIES).items():
             if msg is None:
                 summary.passed[prop] = summary.passed.get(prop, 0) + 1

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from strongbounds import GeneratorConfig, from_arcs, generate_strong_digraph
+from strongbounds import from_arcs, generate_strong_digraph
 
 
 @st.composite
@@ -19,12 +19,11 @@ def digraphs(draw, min_n=1, max_n=6):
 @st.composite
 def strong_digraphs(draw, min_n=1, max_n=7):
     """Strong digraphs drawn through the deterministic generator."""
-    cfg = GeneratorConfig(
+    return generate_strong_digraph(
         n=draw(st.integers(min_n, max_n)),
         p=draw(st.sampled_from([0.2, 0.4, 0.7, 0.9])),
         seed=draw(st.integers(0, 2**32 - 1)),
-    )
-    return generate_strong_digraph(cfg).digraph
+    ).digraph
 
 
 @st.composite

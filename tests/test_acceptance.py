@@ -21,7 +21,6 @@ import pytest
 import oracles
 from strongbounds import (
     FactorPair,
-    GeneratorConfig,
     ProductLabel,
     boundary_profile,
     boundary_set,
@@ -79,8 +78,8 @@ def corpus():
         p = P_VALUES[t % len(P_VALUES)]
         s1 = int(master.integers(0, 2**63 - 1))
         s2 = int(master.integers(0, 2**63 - 1))
-        d1 = generate_strong_digraph(GeneratorConfig(n=n1, p=p, seed=s1)).digraph
-        d2 = generate_strong_digraph(GeneratorConfig(n=n2, p=p, seed=s2)).digraph
+        d1 = generate_strong_digraph(n=n1, p=p, seed=s1).digraph
+        d2 = generate_strong_digraph(n=n2, p=p, seed=s2).digraph
         pair = FactorPair.from_digraphs(d1, d2)
         prod, _ = strong_product(d1, d2)
         prod_profile = metric_profile(prod)
@@ -211,9 +210,7 @@ def test_criterion_4_metric_axioms(corpus):
     checked = 0
     master = np.random.default_rng(ACCEPTANCE_SEED + 8)
     extra = [
-        generate_strong_digraph(
-            GeneratorConfig(n=8, p=P_VALUES[i % 3], seed=int(master.integers(0, 2**63 - 1)))
-        ).digraph
+        generate_strong_digraph(8, P_VALUES[i % 3], int(master.integers(0, 2**63 - 1))).digraph
         for i in range(9)
     ]
     digraphs = [d for e in corpus.entries for d in (e.d1, e.d2)] + extra
@@ -289,9 +286,7 @@ def test_criterion_7_undirected_formula_counterexample(d1_path, d2_path):
         p = P_VALUES[i % 3]
         ds = []
         for n in (n1, n2):
-            base = generate_strong_digraph(
-                GeneratorConfig(n=n, p=p, seed=int(master.integers(0, 2**63 - 1)))
-            ).digraph
+            base = generate_strong_digraph(n, p, int(master.integers(0, 2**63 - 1))).digraph
             mirrored = {(a, b) for a, b in base.arcs} | {(b, a) for a, b in base.arcs}
             ds.append(from_arcs(base.n, sorted(mirrored)))
         r = undirected_formula_counterexample(FactorPair.from_digraphs(*ds))

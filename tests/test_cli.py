@@ -305,6 +305,14 @@ class TestVerify:
         assert "property violated" in out
         assert out.count("n ") >= 2  # two dumped edge lists
 
+    def test_n_max_past_vertex_budget_exit_4_before_any_trial(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "3", "--n-max", "101")
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: --n-max 101 exceeds 100: a product of two factors could exceed"
+            " the budget of 10000 vertices\n"
+        )
+
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--trials", "0")
         assert code == 2
@@ -350,8 +358,8 @@ class TestSizeOverflow:
             ("analyze", "HUGE"),
             ("export", "HUGE"),
             ("gen", "--n", "100000000000", "--p", "0.5"),
-            ("verify", "--trials", "1", "--n-max", "100000000000"),  # seed 0 draws n1 = 63696168733
-            ("verify", "--trials", "1", "--n-max", "100000000000000000000"),  # past int64 draws
+            ("verify", "--trials", "1", "--n-max", "100000000000"),  # refused before any draw
+            ("verify", "--trials", "1", "--n-max", "100000000000000000000"),  # past int64
         ],
         ids=["analyze", "export", "gen", "verify", "verify-n-max-past-int64"],
     )

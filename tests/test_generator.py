@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 import strongbounds.generator as generator_mod
 from strongbounds import (
-    GeneratorConfig,
     InvalidConfig,
     SizeOverflow,
     from_arcs,
@@ -24,40 +23,40 @@ from strongbounds.digraph import _from_out_keys
 class TestValidation:
     def test_bad_n(self):
         with pytest.raises(InvalidConfig):
-            generate_strong_digraph(GeneratorConfig(n=0, p=0.5, seed=1))
+            generate_strong_digraph(n=0, p=0.5, seed=1)
 
     def test_bad_p(self):
         with pytest.raises(InvalidConfig):
-            generate_strong_digraph(GeneratorConfig(n=3, p=1.5, seed=1))
+            generate_strong_digraph(n=3, p=1.5, seed=1)
 
     def test_bad_retries(self):
         with pytest.raises(InvalidConfig):
-            generate_strong_digraph(GeneratorConfig(n=3, p=0.5, seed=1, max_retries=-1))
+            generate_strong_digraph(n=3, p=0.5, seed=1, max_retries=-1)
 
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig):
-            generate_strong_digraph(GeneratorConfig(n=3, p=0.5, seed=-1))
+            generate_strong_digraph(n=3, p=0.5, seed=-1)
 
     def test_draw_past_numpy_array_limit(self):
         # 2**30 x 2**30 float64 is 2**63 bytes: numpy cannot describe it, so the
         # size is refused before any draw
         with pytest.raises(SizeOverflow):
-            generate_strong_digraph(GeneratorConfig(n=2**30, p=0.5, seed=0))
+            generate_strong_digraph(n=2**30, p=0.5, seed=0)
 
 
 class TestOutputs:
     def test_single_vertex(self):
-        out = generate_strong_digraph(GeneratorConfig(n=1, p=0.7, seed=9))
+        out = generate_strong_digraph(n=1, p=0.7, seed=9)
         assert out.digraph.n == 1 and not out.augmented
         assert is_strong(out.digraph)
 
     def test_p_one_complete_bidirected(self):
-        out = generate_strong_digraph(GeneratorConfig(n=5, p=1.0, seed=0))
+        out = generate_strong_digraph(n=5, p=1.0, seed=0)
         assert out.digraph.arc_count == 20 and not out.augmented
         assert all((b, a) in out.digraph.arcs for a, b in out.digraph.arcs)
 
     def test_p_zero_falls_back_to_cycle(self):
-        out = generate_strong_digraph(GeneratorConfig(n=6, p=0.0, seed=3, max_retries=2))
+        out = generate_strong_digraph(n=6, p=0.0, seed=3, max_retries=2)
         assert out.augmented
         assert out.attempts == 3
         assert out.digraph.arcs == {(v, (v + 1) % 6) for v in range(6)}
@@ -65,19 +64,18 @@ class TestOutputs:
 
     def test_always_strong(self):
         for seed in range(25):
-            out = generate_strong_digraph(GeneratorConfig(n=6, p=0.3, seed=seed))
+            out = generate_strong_digraph(n=6, p=0.3, seed=seed)
             assert is_strong(out.digraph)
 
     def test_determinism_byte_identical(self):
-        cfg = GeneratorConfig(n=6, p=0.3, seed=42)
-        a = generate_strong_digraph(cfg)
-        b = generate_strong_digraph(cfg)
+        a = generate_strong_digraph(n=6, p=0.3, seed=42)
+        b = generate_strong_digraph(n=6, p=0.3, seed=42)
         assert a.digraph == b.digraph
         assert serialize_edge_list(a.digraph) == serialize_edge_list(b.digraph)
 
     def test_different_seeds_differ(self):
-        a = generate_strong_digraph(GeneratorConfig(n=7, p=0.4, seed=1)).digraph
-        b = generate_strong_digraph(GeneratorConfig(n=7, p=0.4, seed=2)).digraph
+        a = generate_strong_digraph(n=7, p=0.4, seed=1).digraph
+        b = generate_strong_digraph(n=7, p=0.4, seed=2).digraph
         assert a != b
 
 
@@ -85,15 +83,15 @@ class TestConstruction:
     """Strongness is tested on the draw: only the kept digraph is built."""
 
     @pytest.mark.parametrize(
-        "cfg",
+        "kwargs",
         [
-            GeneratorConfig(n=1, p=0.5, seed=0),
-            GeneratorConfig(n=6, p=0.3, seed=1),  # strong on attempt 8
-            GeneratorConfig(n=6, p=0.0, seed=3, max_retries=2),  # augmented
+            dict(n=1, p=0.5, seed=0),
+            dict(n=6, p=0.3, seed=1),  # strong on attempt 8
+            dict(n=6, p=0.0, seed=3, max_retries=2),  # augmented
         ],
         ids=["k1", "eighth-attempt", "augmented"],
     )
-    def test_one_from_arcs_call_per_digraph(self, monkeypatch, cfg):
+    def test_one_from_arcs_call_per_digraph(self, monkeypatch, kwargs):
         calls = []
 
         def counting_from_out_keys(n, keys):
@@ -101,8 +99,8 @@ class TestConstruction:
             return _from_out_keys(n, keys)
 
         monkeypatch.setattr(generator_mod, "_from_out_keys", counting_from_out_keys)
-        out = generate_strong_digraph(cfg)
-        assert calls == [cfg.n]
+        out = generate_strong_digraph(**kwargs)
+        assert calls == [kwargs["n"]]
         assert is_strong(out.digraph)
 
 
@@ -117,7 +115,7 @@ class TestChunkedDraws:
         max_retries=st.integers(0, 25),
     )
     def test_matches_one_draw_per_attempt(self, n, p, seed, max_retries):
-        out = generate_strong_digraph(GeneratorConfig(n=n, p=p, seed=seed, max_retries=max_retries))
+        out = generate_strong_digraph(n=n, p=p, seed=seed, max_retries=max_retries)
         arcs, attempts, augmented = oracles.generate_one_draw_per_attempt(n, p, seed, max_retries)
         assert out.digraph == from_arcs(n, sorted(arcs))
         assert (out.attempts, out.augmented) == (attempts, augmented)

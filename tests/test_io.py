@@ -36,7 +36,7 @@ from strongbounds import (
 )
 from strongbounds import report as report_module
 from strongbounds.cli import main
-from strongbounds.report import AnalysisReport, _write
+from strongbounds.report import _write, write_json
 from oracles import ids
 from strategies import digraphs
 from conftest import DATA
@@ -49,10 +49,10 @@ def _encoded(obj):
     return "".join(pieces)
 
 
-def _report_text(report):
-    """The text ``report.write_json`` writes."""
+def _report_text(payload):
+    """The text ``write_json`` writes for ``payload``."""
     stream = io.StringIO()
-    report.write_json(stream)
+    write_json(payload, stream)
     return stream.getvalue()
 
 
@@ -329,7 +329,7 @@ class TestDot:
             "eccentricity": eccentric_set(p),
             "periphery": periphery_set(p),
         }
-        report_sets = analyze_digraph(doc).payload["sets"]
+        report_sets = analyze_digraph(doc)["sets"]
         assert tuple(report_sets) == SET_NAMES
         for name in SET_NAMES:
             assert ids(getattr(sets, name)) == ids(expected[name]) == set(report_sets[name])
@@ -378,11 +378,11 @@ class TestReports:
     def test_write_json_streams_to_json_in_chunks(self, case):
         chunk, arr = case
         values = arr.tolist()
-        report = AnalysisReport({"eccentricity": arr, "sets": {"boundary": arr, "none": arr[:0]}})
+        payload = {"eccentricity": arr, "sets": {"boundary": arr, "none": arr[:0]}}
         pieces: list[str] = []
         stream = io.StringIO()
         with mock.patch.object(report_module, "_CHUNK", chunk):
-            report.write_json(stream)
+            write_json(payload, stream)
             _write(arr, 0, pieces.append)
         expected = {"eccentricity": values, "sets": {"boundary": values, "none": []}}
         assert stream.getvalue() == json.dumps(expected, indent=2) + "\n"
@@ -445,5 +445,5 @@ class TestReports:
         stdout = capsys.readouterr().out
         doc = parse_edge_list(path.read_text())
         report = analyze_product(doc, doc, budget=1, paths=(str(path), str(path)))
-        assert report.payload["product"]["eccentricity"].size > report_module._CHUNK
+        assert report["product"]["eccentricity"].size > report_module._CHUNK
         assert (tmp_path / "out.json").read_text(encoding="ascii") == stdout == _report_text(report)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 import oracles
 from strongbounds import (
-    GeneratorConfig,
     _kernels,
     boundary_set,
     directed_distances_from,
@@ -181,8 +180,8 @@ class TestAllPairsBFS:
         # verify-sized graphs and an oracle-route product pass the guard but
         # only pull, so their calls never build the padded table
         run_verification(10, seed=0)
-        g1 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=2)).digraph
-        g2 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=3)).digraph
+        g1 = generate_strong_digraph(n=40, p=0.25, seed=2).digraph
+        g2 = generate_strong_digraph(n=40, p=0.25, seed=3).digraph
         prod, _ = strong_product(g1, g2)
         for d in (g1, g2, prod):
             width = np.max(d.out_indptr[1:] - d.out_indptr[:-1])
@@ -207,8 +206,8 @@ class TestAllPairsBFS:
     def test_dense_product_is_outer_max_of_factors(self, steps):
         # a near-complete 300-vertex product pulls through BLAS: a bit step
         # would gather more words than the matrix product costs
-        g1 = generate_strong_digraph(GeneratorConfig(n=20, p=0.9, seed=11)).digraph
-        g2 = generate_strong_digraph(GeneratorConfig(n=15, p=0.9, seed=12)).digraph
+        g1 = generate_strong_digraph(n=20, p=0.9, seed=11).digraph
+        g2 = generate_strong_digraph(n=15, p=0.9, seed=12).digraph
         prod, _ = strong_product(g1, g2)
         expected = _outer_max(_dist(g1), _dist(g2))
         steps.clear()
@@ -219,8 +218,8 @@ class TestAllPairsBFS:
         # the oracle-route size: a 1 600-vertex product past the bit-step
         # crossover, in several blocks of S sources with S no multiple of 8,
         # so the last frontier word and byte are both partial
-        g1 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=21)).digraph
-        g2 = generate_strong_digraph(GeneratorConfig(n=40, p=0.25, seed=22)).digraph
+        g1 = generate_strong_digraph(n=40, p=0.25, seed=21).digraph
+        g2 = generate_strong_digraph(n=40, p=0.25, seed=22).digraph
         prod, _ = strong_product(g1, g2)
         expected = _outer_max(_dist(g1), _dist(g2))
         steps.clear()
@@ -254,9 +253,9 @@ class TestAllPairsBFS:
         # so up to _BIT_COST vertices every pull goes through BLAS
         assert _kernels._BIT_COST >= 49
         for n, p in ((49, 0.05), (49, 0.2), (49, 0.7), (49, 1.0), (36, 0.4)):
-            d = generate_strong_digraph(GeneratorConfig(n=n, p=p, seed=3)).digraph
+            d = generate_strong_digraph(n=n, p=p, seed=3).digraph
             _dist(d)
-        g = generate_strong_digraph(GeneratorConfig(n=7, p=0.7, seed=4)).digraph
+        g = generate_strong_digraph(n=7, p=0.7, seed=4).digraph
         prod, _ = strong_product(g, g)
         _dist(prod)
         assert "dense" in steps and "bit" not in steps

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 import oracles
 from strongbounds import (
     UNREACHABLE,
-    GeneratorConfig,
     NotStrong,
     VertexOutOfRange,
     _kernels,
@@ -194,7 +193,7 @@ class TestMdTable:
 
     @pytest.mark.parametrize("n", [_FOLD_TILE - 1, _FOLD_TILE, _FOLD_TILE + 1, 2 * _FOLD_TILE + 1])
     def test_fold_across_tile_edges(self, n):
-        d = generate_strong_digraph(GeneratorConfig(n=n, p=0.03, seed=n)).digraph
+        d = generate_strong_digraph(n=n, p=0.03, seed=n).digraph
         t = all_pairs_directed(d)
         assert not np.array_equal(t, t.T)
         assert np.array_equal(metric_profile(d).md, np.maximum(t, t.T))

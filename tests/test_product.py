@@ -42,7 +42,6 @@ from strongbounds import (
 from strongbounds import digraph as digraph_mod
 from strongbounds import product as product_mod
 from strongbounds.product import _witness_reach
-from strongbounds.report import analyze_product
 from conftest import (
     CE_BOUNDARY_D1,
     CE_BOUNDARY_D2,
@@ -543,18 +542,15 @@ class TestIdentitySemantics:
 
     @pytest.mark.parametrize(
         "kind",
-        ["MetricProfile", "FactorPair", "ProductMetricSummary", "AnalysisReport",
-         "EdgeListDocument"],
+        ["MetricProfile", "FactorPair", "ProductMetricSummary", "EdgeListDocument"],
     )
-    def test_eq_and_hash_return_values(self, kind, d1, d2, d1_path, d2_path):
-        docs = [strongbounds.parse_edge_list(path.read_text()) for path in (d1_path, d2_path)]
+    def test_eq_and_hash_return_values(self, kind, d1, d2, d1_path):
         make = {
             "MetricProfile": lambda: metric_profile(d2),
             "FactorPair": lambda: FactorPair.from_digraphs(d1, d2),
             "ProductMetricSummary": lambda: product_metric_summary(
                 FactorPair.from_digraphs(d1, d2)
             ),
-            "AnalysisReport": lambda: analyze_product(*docs),
             "EdgeListDocument": lambda: strongbounds.parse_edge_list(d1_path.read_text()),
         }[kind]
         a, b = make(), make()

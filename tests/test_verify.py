@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+import strongbounds.product as product_mod
 import strongbounds.verify as verify_mod
 from strongbounds import (
     InvalidConfig,
+    SizeOverflow,
     eccentric_set,
     from_arcs,
+    generate_strong_digraph,
     is_strong,
     metric_profile,
     parse_edge_list,
@@ -45,6 +48,29 @@ class TestConfig:
     def test_empty_p_values_rejected(self):
         with pytest.raises(InvalidConfig):
             run_verification(trials=1, p_values=())
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The factor sizes ``run_verification`` asks the generator for."""
+        sizes = []
+
+        def counting_generate(n, p, seed):
+            sizes.append(n)
+            return generate_strong_digraph(n, p, seed)
+
+        monkeypatch.setattr(verify_mod, "generate_strong_digraph", counting_generate)
+        return sizes
+
+    def test_n_max_past_vertex_budget_rejected_before_any_draw(self, draws):
+        # 101 * 101 = 10 201 product vertices exceed DEFAULT_VERTEX_BUDGET
+        with pytest.raises(SizeOverflow, match=r"^--n-max 101 .* budget of 10000 vertices$"):
+            run_verification(1, n_max=101)
+        assert draws == []
+
+    def test_n_max_at_vertex_budget_runs(self, draws):
+        # seed 34 draws n1 = 8 and n2 = 2 from 2..100, so the trial is small
+        assert run_verification(1, n_max=100, seed=34).trials == 1
+        assert draws == [8, 2]
 
 
 class TestOutcomes:
@@ -213,7 +239,8 @@ class TestPlantedFault:
             mask[0] = True
             return mask
 
-        monkeypatch.setattr(verify_mod, "product_periphery_via_factors", wrong_periphery)
+        # the formula bundle looks the periphery formula up in `product`
+        monkeypatch.setattr(product_mod, "product_periphery_via_factors", wrong_periphery)
         summary = run_verification(trials=1, seed=3)
         assert not summary.ok
         assert summary.violation.prop == "periphery-formula-vs-direct"

@@ -46,7 +46,6 @@ from .product import (
     DEFAULT_VERTEX_BUDGET,
     FactorPair,
     ProductLabel,
-    UndirectedFormulaReport,
     product_arc_count,
     product_boundary_exact_via_factors,
     product_boundary_profile_via_factors,
@@ -58,7 +57,7 @@ from .product import (
     product_metric_summary,
     product_periphery_via_factors,
     strong_product,
-    undirected_formula_counterexample,
+    undirected_boundary_candidate,
 )
 from .report import analyze_digraph, analyze_product, write_json
 from .verify import PROPERTIES, VerificationSummary, run_verification
@@ -84,7 +83,6 @@ __all__ = [
     "SizeOverflow",
     "StrongboundsError",
     "UNREACHABLE",
-    "UndirectedFormulaReport",
     "VerificationSummary",
     "VertexOutOfRange",
     "all_pairs_directed",
@@ -115,6 +113,6 @@ __all__ = [
     "run_verification",
     "serialize_edge_list",
     "strong_product",
-    "undirected_formula_counterexample",
+    "undirected_boundary_candidate",
     "write_json",
 ]

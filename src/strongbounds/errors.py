@@ -50,4 +50,4 @@ class ParseError(StrongboundsError):
 
 
 class InvalidConfig(StrongboundsError):
-    """A generator or verification configuration outside its allowed range."""
+    """A generator, verification or product-budget setting outside its allowed range."""

@@ -11,9 +11,12 @@ the four sets on factor profiles alone, in O(n1·n2). The periphery and
 eccentricity-set formulas are exact. The paper's stated boundary and contour
 characterizations are kept as they are stated, and they are NOT equivalent to
 the definition-level sets on all inputs (see `verify.run_verification` and the
-test suite for the known divergences). `product_boundary_exact_via_factors`
-and `product_contour_exact_via_factors` are the exact factor-side routes for
+test suite for the known divergences; the contour form's docstring proves
+where it over-claims). `product_boundary_exact_via_factors` and
+`product_contour_exact_via_factors` are the exact factor-side routes for
 those two sets. Each exact set's docstring carries its proof.
+`undirected_boundary_candidate` is the undirected identity
+(∂1 × V2) ∪ (V1 × ∂2), which always contains the exact boundary.
 
 Pair (i, r) is encoded as i*n2 + r, which is exactly C-order raveling of an
 (n1, n2) grid. Every set is a boolean mask over the vertices, as in
@@ -238,11 +241,18 @@ def product_eccentric_via_factors(f: FactorPair) -> np.ndarray:
 def product_contour_via_factors(f: FactorPair) -> np.ndarray:
     """Contour of the product by the three-case factor formula.
 
-    Implemented exactly in its stated form; like the boundary characterization
-    it can disagree with the definition-level contour of the constructed
-    product (eccentricity may jump by more than one across a one-way arc),
-    which the verification harness surfaces: it holds on 190/200 trials of
-    the seed-0 ``verify --trials 200`` corpus (the boundary form on 183/200).
+    Implemented exactly in its stated form. It never misses a contour vertex,
+    and it over-claims exactly the (i, r) with i in Ct1 and
+    e2(r) < e1(i) < c2(r), and the mirror image, where e = ecc and c(v) is
+    the largest ecc over N(v). Proof. If e1(i) > e2(r), the exact test
+    (`product_contour_exact_via_factors`) is c1(i) <= e1(i), that is i in
+    Ct1, and c2(r) <= e1(i); the first case checks only i in Ct1, and the
+    third case, Ct1 × Ct2, adds nothing. If e1(i) = e2(r), both tests are
+    i in Ct1 and r in Ct2. The mirror image holds for e2(r) > e1(i). So the
+    form is exact when ecc changes by at most 1 along every edge of both
+    factors; it fails where ecc jumps by 2 or more, which a one-way arc
+    allows. It holds on 190/200 trials of the seed-0 ``verify --trials 200``
+    corpus (the boundary form on 183/200).
     """
     ct1, ct2 = f.b1.contour, f.b2.contour
     e1, e2 = f.p1.ecc[:, None], f.p2.ecc[None, :]
@@ -324,29 +334,15 @@ def product_boundary_profile_via_factors(f: FactorPair) -> BoundaryProfile:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class UndirectedFormulaReport:
-    """Contrast of the undirected-style boundary identity with the factor formula.
+def undirected_boundary_candidate(f: FactorPair) -> np.ndarray:
+    """(∂1 × V2) ∪ (V1 × ∂2), the undirected boundary identity, in encoded order.
 
-    candidate is (∂1 × V2) ∪ (V1 × ∂2), the identity valid for undirected
-    graphs; factor_boundary is the directed factor characterization
-    (A1 ∪ A2 ∪ A3). difference is their symmetric difference, empty exactly
-    when the undirected identity and the directed characterization agree.
-    All three are product masks in encoded order.
+    For bidirected factors this is the product's boundary. For digraphs it
+    always contains it. Proof. (i, r) is in the exact boundary iff
+    A1(i) >= m2(r) or A2(r) >= m1(i) (`product_boundary_exact_via_factors`).
+    Every m is at least 0, a max of md values, while A(v) >= 0 only when v
+    has a witness, that is when v is in the factor's boundary. So the first
+    case puts i in ∂1 and the second puts r in ∂2. XOR the mask with the
+    route it is set beside: the paper's form or the exact boundary.
     """
-
-    candidate: np.ndarray
-    factor_boundary: np.ndarray
-    difference: np.ndarray
-
-
-def undirected_formula_counterexample(f: FactorPair) -> UndirectedFormulaReport:
-    """Where the undirected-style boundary identity diverges from the factor formula."""
-    candidate = (f.b1.boundary[:, None] | f.b2.boundary[None, :]).ravel()
-    factor = product_boundary_via_factors(f)
-    return UndirectedFormulaReport(
-        candidate=candidate,
-        factor_boundary=factor,
-        difference=candidate ^ factor,
-    )
-
+    return (f.b1.boundary[:, None] | f.b2.boundary[None, :]).ravel()

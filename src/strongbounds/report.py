@@ -31,7 +31,7 @@ from typing import TextIO
 import numpy as np
 
 from .boundary import SET_NAMES, BoundaryProfile, boundary_profile
-from .digraph import Digraph
+from .errors import InvalidConfig
 from .io_formats import EdgeListDocument
 from .metric import metric_profile
 from .product import (
@@ -160,6 +160,8 @@ def analyze_product(
     """
     if mode not in ("formula", "oracle", "both"):
         raise ValueError(f"mode must be formula|oracle|both, got {mode!r}")
+    if budget < 1:
+        raise InvalidConfig(f"budget must be >= 1, got {budget}")
     d1, d2 = doc1.digraph, doc2.digraph
     pair = FactorPair.from_digraphs(d1, d2)
     summary = product_metric_summary(pair)

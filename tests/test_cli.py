@@ -234,6 +234,20 @@ class TestProduct:
         assert code == 4
         assert "budget" in err
 
+    @pytest.mark.parametrize("mode", ["formula", "oracle"])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_1_exit_2(self, capsys, monkeypatch, d1_path, d2_path, mode, budget):
+        # refused before the factors are profiled, in every mode
+        def no_work(*args):
+            raise AssertionError("factors profiled before the budget check")
+
+        monkeypatch.setattr(strongbounds.FactorPair, "from_digraphs", no_work)
+        code, out, err = run(
+            capsys, "product", str(d1_path), str(d2_path), "--mode", mode, "--budget", budget
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: budget must be >= 1, got {budget}\n"
+
     def test_product_with_k1_matches_factor(self, capsys, tmp_path, d2_path):
         k1 = tmp_path / "k1.txt"
         k1.write_text("n 1\n")

@@ -390,9 +390,11 @@ class TestReports:
         assert max(piece.count(",") for piece in pieces) <= max(chunk - 1, 1)
 
     @pytest.mark.parametrize("scale", [1, 10**6], ids=["offset-table", "per-item"])
-    def test_write_memory_does_not_grow_with_length(self, scale):
+    def test_write_memory_does_not_grow_with_length(self, scale, monkeypatch):
+        # a small chunk keeps the arrays, and the run, small: both still span many chunks
+        monkeypatch.setattr(report_module, "_CHUNK", 1 << 12)
         rng = np.random.default_rng(0)
-        small, large = (rng.integers(0, 1000, n) * scale for n in (10**6, 4 * 10**6))
+        small, large = (rng.integers(0, 1000, n) * scale for n in (10**5, 4 * 10**5))
         (peak_small, written_small), (peak_large, written_large) = map(_write_peak, (small, large))
         assert written_large > 3 * written_small
         assert peak_large < 1.5 * peak_small

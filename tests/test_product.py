@@ -37,7 +37,7 @@ from strongbounds import (
     product_metric_summary,
     product_periphery_via_factors,
     strong_product,
-    undirected_formula_counterexample,
+    undirected_boundary_candidate,
 )
 from strongbounds import digraph as digraph_mod
 from strongbounds import product as product_mod
@@ -439,6 +439,32 @@ class TestKnownDivergences:
         assert p.ecc.tolist() == [2, 4, 4, 3, 4]
         assert p.ecc[1] - p.ecc[0] == 2 and 1 in b.und_indices[b.und_indptr[0]:b.und_indptr[1]]
 
+    @settings(max_examples=40, deadline=None)
+    @given(strong_digraphs(max_n=6), strong_digraphs(max_n=6))
+    @example(from_arcs(*CE_CONTOUR_D1), from_arcs(*CE_CONTOUR_D2))
+    def test_contour_formula_overclaims_exactly_the_jumps(self, a, b):
+        # never a miss; the over-claims are (i, r) with i in Ct1 and
+        # e2(r) < e1(i) < c2(r), and the mirror image
+        pair = FactorPair.from_digraphs(a, b)
+        paper = product_contour_via_factors(pair)
+        exact = product_contour_exact_via_factors(pair)
+        facts = []
+        for d in (a, b):
+            md = oracles.md_table(d.n, d.arcs)
+            e = oracles.ecc_vector(md)
+            c = [max((e[w] for w in oracles.neighbors(d.n, d.arcs, v)), default=-1)
+                 for v in range(d.n)]
+            facts.append((oracles.contour(d.n, d.arcs, md), e, c))
+        (ct1, e1, c1), (ct2, e2, c2) = facts
+        predicted = {
+            i * b.n + r
+            for i in range(a.n)
+            for r in range(b.n)
+            if (i in ct1 and e2[r] < e1[i] < c2[r]) or (r in ct2 and e1[i] < e2[r] < c1[i])
+        }
+        assert ids(exact & ~paper) == set()
+        assert ids(paper & ~exact) == predicted
+
 
 class TestNeighborhoodIdentity:
     @settings(max_examples=30, deadline=None)
@@ -496,45 +522,58 @@ class TestCommutativity:
             assert ids(fwd(pair_ab).reshape(a.n, b.n).T.ravel()) == ids(rev(pair_ba))
 
 
-class TestUndirectedFormulaReport:
+class TestUndirectedBoundaryCandidate:
     def test_example_difference(self, example_pair):
-        report = undirected_formula_counterexample(example_pair)
-        assert ids(report.difference) == {1, 11}
-        assert ids(report.candidate) == ALL15 - {6, 7}
+        candidate = undirected_boundary_candidate(example_pair)
+        assert ids(candidate ^ product_boundary_via_factors(example_pair)) == {1, 11}
+        assert ids(candidate) == ALL15 - {6, 7}
 
     def test_example_candidate_equals_direct_boundary(self, example_pair, example_product):
-        # on this pair the undirected-style identity actually matches the
-        # definition-level boundary; the nonempty difference above is against
-        # the factor characterization
+        # on this pair the undirected-style identity matches the
+        # definition-level boundary and the exact route; the nonempty
+        # difference above is against the paper's form
         prod, _ = example_product
         direct = ids(boundary_set(metric_profile(prod), prod))
-        report = undirected_formula_counterexample(example_pair)
-        assert ids(report.candidate) == direct
+        candidate = undirected_boundary_candidate(example_pair)
+        assert ids(candidate) == direct
+        assert ids(candidate ^ product_boundary_exact_via_factors(example_pair)) == set()
 
     def test_k1_pair_empty(self, k1):
         pair = FactorPair.from_digraphs(k1, k1)
-        assert ids(undirected_formula_counterexample(pair).difference) == set()
+        assert ids(undirected_boundary_candidate(pair) ^ product_boundary_via_factors(pair)) == set()
 
     def test_k1_factor_saturates_candidate(self, d1, k1):
         # a single-vertex factor is vacuously boundary, so the undirected-style
         # candidate covers every product vertex while the boundary of K1 x D
         # is just the boundary of D: the identity needs nontrivial factors
         pair = FactorPair.from_digraphs(k1, d1)
-        report = undirected_formula_counterexample(pair)
-        assert ids(report.candidate) == set(range(d1.n))
-        assert ids(report.factor_boundary) == {0, 2}
-        assert ids(report.difference) == {1}
+        candidate = undirected_boundary_candidate(pair)
+        paper = product_boundary_via_factors(pair)
+        assert ids(candidate) == set(range(d1.n))
+        assert ids(paper) == {0, 2}
+        assert ids(candidate ^ paper) == {1}
+        assert ids(product_boundary_exact_via_factors(pair)) == {0, 2}
 
     @settings(max_examples=25, deadline=None)
     @given(bidirected_strong_digraphs(min_n=2, max_n=4),
            bidirected_strong_digraphs(min_n=2, max_n=4))
     def test_bidirected_pairs_empty(self, a, b):
         pair = FactorPair.from_digraphs(a, b)
-        report = undirected_formula_counterexample(pair)
-        assert ids(report.difference) == set()
+        candidate = undirected_boundary_candidate(pair)
+        assert ids(candidate ^ product_boundary_via_factors(pair)) == set()
         # and there the identity is genuinely the boundary of the product
         prod, _ = strong_product(a, b)
-        assert ids(report.candidate) == ids(boundary_set(metric_profile(prod), prod))
+        assert ids(candidate) == ids(boundary_set(metric_profile(prod), prod))
+
+    @settings(max_examples=40, deadline=None)
+    @given(strong_digraphs(max_n=6), strong_digraphs(max_n=6))
+    @example(from_arcs(*CE_BOUNDARY_D1), from_arcs(*CE_BOUNDARY_D2))
+    def test_contains_the_product_boundary(self, a, b):
+        pair = FactorPair.from_digraphs(a, b)
+        outside = ~undirected_boundary_candidate(pair)
+        prod, _ = strong_product(a, b)
+        assert ids(boundary_set(metric_profile(prod), prod) & outside) == set()
+        assert ids(product_boundary_exact_via_factors(pair) & outside) == set()
 
 
 class TestIdentitySemantics:

@@ -71,15 +71,20 @@ def _worst_columns(md: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vert
 
     W[u, v] = max md(u, w) over w in N(v). md is symmetric, so column v of W
     is the max of the md rows of v's neighbors, which are contiguous; all -1
-    for an empty neighbor row. This is the one worst-neighbour reduction: the
-    boundary scan's fallback and the exact product routes both read it, and W
-    is never stored whole.
+    for an empty neighbor row. With `_worst_at`, W's one entry per vertex,
+    this is all the worst-neighbour code, and W is never stored whole.
     """
     empty = np.full(md.shape[0], -1, dtype=md.dtype)
     bounds = indptr.tolist()
     for v in range(md.shape[0]) if vertices is None else vertices:
         lo, hi = bounds[v], bounds[v + 1]
         yield v, md[indices[lo:hi]].max(axis=0) if lo < hi else empty
+
+
+def _worst_at(md: np.ndarray, d: Digraph, u: np.ndarray) -> np.ndarray:
+    """W[u[v], v] for each vertex v: the largest md(u[v], w) over w in N(v), -1 if none."""
+    indptr = d.und_indptr
+    return _segment_max(md[np.repeat(u, indptr[1:] - indptr[:-1]), d.und_indices], indptr)
 
 
 def _boundary_witnesses(p: MetricProfile, d: Digraph) -> np.ndarray:
@@ -90,17 +95,15 @@ def _boundary_witnesses(p: MetricProfile, d: Digraph) -> np.ndarray:
     definition at once, in O(m). Only the vertices whose candidate fails get
     their W column built, and there the witness is the first u that passes.
     """
-    indptr, indices, md = d.und_indptr, d.und_indices, p.md
+    md = p.md
     # md is symmetric: row v of md - ecc[None, :] holds md(u, v) - ecc(u) for
     # every u, and a row argmax needs no transposed copy of the table. ecc is
     # cast to md's dtype, which holds it (ecc <= diameter), so the difference
     # is built at md's width, not int32.
     cand = (md - p.ecc.astype(md.dtype)[None, :]).argmax(axis=1)
-    at_v = md[cand, np.arange(d.n)]
-    rows = np.repeat(np.arange(d.n), indptr[1:] - indptr[:-1])
-    worst = _segment_max(md[cand[rows], indices], indptr)
-    witness = np.where(worst <= at_v, cand, -1)
-    for v, col in _worst_columns(md, indptr, indices, (witness < 0).nonzero()[0].tolist()):
+    witness = np.where(_worst_at(md, d, cand) <= md[cand, np.arange(d.n)], cand, -1)
+    failed = (witness < 0).nonzero()[0].tolist()
+    for v, col in _worst_columns(md, d.und_indptr, d.und_indices, failed):
         hits = (col <= md[v]).nonzero()[0]
         if hits.size:
             witness[v] = hits[0]

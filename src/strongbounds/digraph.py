@@ -109,20 +109,30 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     This is the one place the arc rules are checked; `parse_edge_list` leaves
     them here. Malformed input is surfaced rather than silently repaired: a
     repeated ordered pair raises ParallelArc even though the arc set could
-    absorb it. The error names the first bad arc in input order (for a
-    repeat, the later copy) and carries its 0-based position as ``index``.
+    absorb it, and a float, bool or str endpoint raises ValueError rather
+    than being truncated or parsed. The error names the first bad arc in
+    input order (for a repeat, the later copy) and carries its 0-based
+    position as ``index``.
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
     _require_keyed(n)
-    items = arcs if isinstance(arcs, np.ndarray) else list(arcs)
-    try:
-        pairs = np.asarray(items, dtype=np.int64)
-    except OverflowError:  # an endpoint beyond int64, so out of range: report it exactly
-        pairs = np.asarray(items, dtype=object)
+    # Python endpoints stay objects until their types are checked: an int64
+    # conversion would truncate 1.7 and parse "1".
+    pairs = arcs if isinstance(arcs, np.ndarray) else np.array(list(arcs), dtype=object)
     if pairs.size and pairs.shape[1:] != (2,):
         raise ValueError(f"arcs must be (tail, head) pairs, got an array of shape {pairs.shape}")
     pairs = pairs.reshape(-1, 2)
+    kinds = set(map(type, pairs.flat)) if pairs.dtype == object else {pairs.dtype.type}
+    odd = sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer)))
+    if pairs.size and odd:
+        raise ValueError(f"arc endpoints must be integers, got {', '.join(odd)}")
+    if pairs.dtype == np.uint64 and pairs.size and pairs.max() >> 63:
+        pairs = pairs.astype(object)  # an int64 cast would wrap such an endpoint negative
+    try:
+        pairs = pairs.astype(np.int64, copy=False)
+    except OverflowError:  # an endpoint beyond int64, so out of range: report it exactly
+        pass
     tails, heads = pairs[:, 0], pairs[:, 1]
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     # Out-of-range arcs get distinct negative keys, so they repeat nothing.
@@ -155,7 +165,7 @@ def _from_out_keys(n: int, out_keys: np.ndarray) -> Digraph:
     """Digraph of sorted distinct int64 arc keys tail*n + head, none a loop.
 
     Nothing is checked here: `from_arcs` validates its arcs first, and
-    `strong_product`, the generator and the minimizer prove their keys valid.
+    `strong_product` and `_from_adjacency` prove their keys valid.
     The in-keys head*n + tail take one sort; the undirected keys merge the two
     sorted arrays and drop repeats.
     """
@@ -174,6 +184,16 @@ def _from_out_keys(n: int, out_keys: np.ndarray) -> Digraph:
     und_keys = both[first]
     del both, first
     return Digraph(n, *out_csr, *in_csr, *_keys_to_csr(n, und_keys))
+
+
+def _from_adjacency(adj: np.ndarray) -> Digraph:
+    """Digraph of a boolean n x n adjacency matrix whose diagonal is false.
+
+    The arc keys tail*n + head are adj's row-major flat indices: np.flatnonzero
+    lists them sorted and distinct, the false diagonal makes none a loop, and
+    numpy indexes the n² cells in int64, so every key fits.
+    """
+    return _from_out_keys(len(adj), np.flatnonzero(adj))
 
 
 def _adjacency_is_strong(adj: np.ndarray) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, _adjacency_is_strong, _from_out_keys
+from .digraph import Digraph, _adjacency_is_strong, _from_adjacency
 from .errors import InvalidConfig, SizeOverflow
 
 # numpy cannot even describe an array of 2**63 bytes or more; an n x n float64
@@ -39,6 +39,12 @@ class GeneratedDigraph:
     augmented: bool
 
 
+def _require_probability(p: float) -> None:
+    """InvalidConfig unless p is an arc probability in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidConfig(f"p must be in [0, 1], got {p}")
+
+
 def generate_strong_digraph(
     n: int, p: float, seed: int = 0, max_retries: int = 20
 ) -> GeneratedDigraph:
@@ -53,17 +59,13 @@ def generate_strong_digraph(
     vertex lacks an out-arc or an in-arc is not strong, and only the draws
     that pass run the full test, in attempt order.
 
-    The kept draw's arc keys are its row-major flat indices tail*n + head,
-    which is what `_from_out_keys` takes. np.flatnonzero lists them in
-    ascending order, and a flat index names one cell, so they are sorted and
-    distinct. The diagonal is cleared after the draw and the cycle adds only
-    v -> (v + 1) % n with n > 1, so none is a loop. n <= _MAX_DRAW_N, far
-    below the int64 key limit, so every key fits.
+    The kept draw goes to `_from_adjacency`, whose diagonal must be false:
+    it is cleared after the draw, and the cycle adds only v -> (v + 1) % n
+    with n > 1.
     """
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidConfig(f"p must be in [0, 1], got {p}")
+    _require_probability(p)
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     if max_retries < 0:
@@ -96,5 +98,5 @@ def generate_strong_digraph(
         if n > 1:
             v = np.arange(n)
             kept[v, (v + 1) % n] = True
-    d = _from_out_keys(n, np.flatnonzero(kept))
+    d = _from_adjacency(kept)
     return GeneratedDigraph(digraph=d, attempts=attempts, augmented=augmented)

@@ -10,13 +10,13 @@ never build the product: they evaluate closed-form factor characterizations of
 the four sets on factor profiles alone, in O(n1·n2). The periphery and
 eccentricity-set formulas are exact. The paper's stated boundary and contour
 characterizations are kept as they are stated, and they are NOT equivalent to
-the definition-level sets on all inputs (see `verify.run_verification` and the
-test suite for the known divergences; the contour form's docstring proves
-where it over-claims). `product_boundary_exact_via_factors` and
-`product_contour_exact_via_factors` are the exact factor-side routes for
-those two sets. Each exact set's docstring carries its proof.
-`undirected_boundary_candidate` is the undirected identity
-(∂1 × V2) ∪ (V1 × ∂2), which always contains the exact boundary.
+the definition-level sets on all inputs: each form's docstring proves exactly
+where it diverges, and `verify.run_verification` tallies it.
+`product_boundary_exact_via_factors` and `product_contour_exact_via_factors`
+are the exact factor-side routes for those two sets. Each exact set's
+docstring carries its proof. `undirected_boundary_candidate` is the
+undirected identity (∂1 × V2) ∪ (V1 × ∂2), which always contains the exact
+boundary.
 
 Pair (i, r) is encoded as i*n2 + r, which is exactly C-order raveling of an
 (n1, n2) grid. Every set is a boolean mask over the vertices, as in
@@ -34,6 +34,7 @@ from .boundary import (
     BoundaryProfile,
     _eccentric_mask,
     _segment_max,
+    _worst_at,
     _worst_columns,
     boundary_profile,
 )
@@ -139,25 +140,16 @@ def _closed_arc_ends(d: Digraph) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(keys, n)
 
 
-@dataclass(frozen=True, eq=False)
-class ProductMetricSummary:
-    """Product-scale metric facts computable without any product-sized table.
+def product_metric_summary(f: FactorPair) -> tuple[np.ndarray, int, int]:
+    """(ecc, radius, diameter) of the product, `MetricProfile`'s fields after md.
 
-    ecc is in encoded order: ecc[i*n2 + r] = max(ecc1[i], ecc2[r]).
+    No product-sized table is built. ecc is in encoded order:
+    ecc[i*n2 + r] = max(ecc1[i], ecc2[r]).
     """
-
-    n: int
-    ecc: np.ndarray
-    radius: int
-    diameter: int
-
-
-def product_metric_summary(f: FactorPair) -> ProductMetricSummary:
-    return ProductMetricSummary(
-        n=f.d1.n * f.d2.n,
-        ecc=np.maximum.outer(f.p1.ecc, f.p2.ecc).ravel(),
-        radius=max(f.p1.radius, f.p2.radius),
-        diameter=max(f.p1.diameter, f.p2.diameter),
+    return (
+        np.maximum.outer(f.p1.ecc, f.p2.ecc).ravel(),
+        max(f.p1.radius, f.p2.radius),
+        max(f.p1.diameter, f.p2.diameter),
     )
 
 
@@ -174,8 +166,7 @@ def product_metric_profile(f: FactorPair, budget: int = DEFAULT_VERTEX_BUDGET) -
         )
     # md[(i, r), (j, s)] = max(md1[i, j], md2[r, s]); axes (i, r, j, s) ravel to C order
     md = np.maximum(f.p1.md[:, None, :, None], f.p2.md[None, :, None, :]).reshape(n, n)
-    summary = product_metric_summary(f)
-    return MetricProfile(md=md, ecc=summary.ecc, radius=summary.radius, diameter=summary.diameter)
+    return MetricProfile(md, *product_metric_summary(f))
 
 
 # ----------------------------------------------------------------------------
@@ -185,29 +176,37 @@ def product_metric_profile(f: FactorPair, budget: int = DEFAULT_VERTEX_BUDGET) -
 # mask in encoded order. Grids keep the evaluations O(n1*n2) and product-free.
 # ----------------------------------------------------------------------------
 
-def _worst_neighbor_md(d: Digraph, p: MetricProfile) -> np.ndarray:
-    """worst[v] = max md(v, w) over w in N(v); -1 for an empty neighborhood."""
-    rows = np.repeat(np.arange(d.n), d.und_indptr[1:] - d.und_indptr[:-1])
-    return _segment_max(p.md[rows, d.und_indices], d.und_indptr)
-
-
 def product_boundary_via_factors(f: FactorPair) -> np.ndarray:
-    """Boundary of the product by the paper's factor characterization A1 ∪ A2 ∪ A3.
+    """Boundary of the product by the paper's three-part factor characterization.
 
-    The first part pairs boundary vertices of both factors. The second takes
-    (i, r) with i in the first boundary, r outside the second, and every
-    neighbor of r within md-distance ecc1(i) of r; the third is the mirror
-    image. The characterization is implemented exactly in that stated form,
-    and it disagrees with the definition-level boundary of the constructed
-    product on some inputs in both directions: it misses true boundary
-    vertices (two on the worked example) and it also claims vertices that are
-    not boundary vertices (`verify --seed 0`, trials 60, 84 and 138). The
-    verification harness surfaces both; `product_boundary_exact_via_factors`
-    is the exact route.
+    With e = ecc and w(v) = max md(v, x) over x in N(v) (`_worst_at` at u = v):
+    the first part is ∂1 × ∂2, the second takes (i, r) in ∂1 × (V2 ∖ ∂2) with
+    w2(r) <= e1(i), and the third is the mirror image. It is implemented
+    exactly in that stated form, and it is sound on ∂1 × ∂2 and wrong in both
+    directions on the two strips, exactly where proved below.
+
+    Proof. With A and m as in `_witness_reach`, (i, r) is in the product's
+    boundary iff A1(i) >= m2(r) or A2(r) >= m1(i)
+    (`product_boundary_exact_via_factors`). A(v) >= 0 exactly on the factor
+    boundary, and there m(v) <= A(v): a witness u of v has W[u, v] <= md(u, v),
+    so its term of m's min is md(u, v) <= A(v). Every m is at least 0.
+    - On ∂1 × ∂2, m <= A in both factors, so whichever of A1(i), A2(r) is
+      larger is at least the other factor's m: the first part is sound.
+    - Off both factor boundaries, A1(i) = A2(r) = -1 < m: no part claims it.
+    - On the strip ∂1 × (V2 ∖ ∂2), A2(r) = -1, so the exact test is
+      A1(i) >= m2(r), where the paper tests w2(r) <= e1(i). The form
+      over-claims exactly where A1(i) < m2(r) and w2(r) <= e1(i), and misses
+      exactly where A1(i) >= m2(r) and w2(r) > e1(i). It puts e1(i) >= A1(i)
+      in place of A1(i), and w2(r) in place of m2(r): w2(r) is the u = r term
+      of m2's min, so w2(r) >= m2(r) (r is not in ∂2, so D2 is not K1, and
+      a strong digraph on two or more vertices gives r a neighbour).
+      The other strip is the mirror image.
+    On the worked example both misses, (u1, v2) and (u3, v2), have
+    A1 = e1 = 2 and m2(v2) = 2 < w2(v2) = 3.
     """
     bd1, bd2 = f.b1.boundary, f.b2.boundary
-    worst1 = _worst_neighbor_md(f.d1, f.p1)
-    worst2 = _worst_neighbor_md(f.d2, f.p2)
+    worst1 = _worst_at(f.p1.md, f.d1, np.arange(f.d1.n))
+    worst2 = _worst_at(f.p2.md, f.d2, np.arange(f.d2.n))
     a1 = bd1[:, None] & bd2[None, :]
     a2 = bd1[:, None] & ~bd2[None, :] & (worst2[None, :] <= f.p1.ecc[:, None])
     a3 = ~bd1[:, None] & bd2[None, :] & (worst1[:, None] <= f.p2.ecc[None, :])

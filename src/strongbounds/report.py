@@ -164,7 +164,7 @@ def analyze_product(
         raise InvalidConfig(f"budget must be >= 1, got {budget}")
     d1, d2 = doc1.digraph, doc2.digraph
     pair = FactorPair.from_digraphs(d1, d2)
-    summary = product_metric_summary(pair)
+    ecc, radius, diameter = product_metric_summary(pair)
 
     def factor_entry(path: str, doc: EdgeListDocument, profile) -> dict:
         return {
@@ -187,12 +187,12 @@ def analyze_product(
             factor_entry(paths[1], doc2, pair.p2),
         ],
         "product": {
-            "n": summary.n,
+            "n": d1.n * d2.n,
             "arc_count": product_arc_count(d1, d2),
             "strong": True,
-            "radius": summary.radius,
-            "diameter": summary.diameter,
-            "eccentricity": summary.ecc,
+            "radius": radius,
+            "diameter": diameter,
+            "eccentricity": ecc,
         },
     }
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import boundary_profile
-from .digraph import Digraph, _adjacency_is_strong, _from_out_keys
+from .digraph import Digraph, _adjacency_is_strong, _from_adjacency
 from .errors import InvalidConfig, SizeOverflow
-from .generator import generate_strong_digraph
+from .generator import _require_probability, generate_strong_digraph
 from .metric import MetricProfile, metric_profile
 from .product import (
     DEFAULT_VERTEX_BUDGET,
@@ -189,11 +189,8 @@ def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
 
     Each pass tries the arcs of da in ascending (tail, head) order, deleting
     one at a time from an adjacency matrix of the arcs kept so far; only a
-    strong candidate is built into a Digraph and checked. A candidate's arc
-    keys are the row-major flat indices tail*n + head of its matrix, which
-    np.flatnonzero lists sorted and distinct; the matrix holds arcs of a
-    Digraph only, so none is a loop, and `_from_out_keys` takes them as they
-    are.
+    strong candidate is built into a Digraph, by `_from_adjacency`, and
+    checked.
     """
     def shrink(da: Digraph, db: Digraph, first: bool) -> tuple[Digraph, Digraph]:
         changed = True
@@ -205,7 +202,7 @@ def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
             for tail, head in rows.tolist():
                 adj[tail, head] = False
                 if _adjacency_is_strong(adj):
-                    trimmed = _from_out_keys(da.n, np.flatnonzero(adj))
+                    trimmed = _from_adjacency(adj)
                     cand = (trimmed, db) if first else (db, trimmed)
                     if _check_trial(cand[0], cand[1], (prop,))[prop] is not None:
                         da = trimmed
@@ -229,6 +226,8 @@ def run_verification(
 
     Every failure is tallied; only the first, in trial order and then
     `PROPERTIES` order, is minimized and kept as the summary's violation.
+    Every argument is checked before the first draw, each p value too, even
+    one that a short run's trials would never reach.
     """
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
@@ -243,6 +242,8 @@ def run_verification(
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     if not p_values:
         raise InvalidConfig("p_values must name at least one arc probability")
+    for p in p_values:
+        _require_probability(p)
 
     master = np.random.default_rng(seed)
     summary = VerificationSummary(trials=trials)

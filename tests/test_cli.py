@@ -327,6 +327,11 @@ class TestVerify:
             " the budget of 10000 vertices\n"
         )
 
+    def test_p_outside_unit_interval_exit_2_before_any_trial(self, capsys):
+        # the one trial would draw at p = 0.5 only; 1.5 is refused all the same
+        code, out, err = run(capsys, "verify", "--trials", "1", "--p", "0.5", "1.5")
+        assert (code, out, err) == (2, "", "error: p must be in [0, 1], got 1.5\n")
+
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--trials", "0")
         assert code == 2

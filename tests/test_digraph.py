@@ -73,6 +73,8 @@ class TestFromArcs:
             (3, [(0, 1), (0, 2**70)], VertexOutOfRange,
              f"arc (0,{2**70}) has an endpoint outside 0..2"),
             (3, [(0, 1), (1, 1), (-2**70, 0)], LoopArc, "loop arc (1,1) not allowed"),
+            (3, np.array([(0, 1), (0, 2**64 - 2)], dtype=np.uint64), VertexOutOfRange,
+             f"arc (0,{2**64 - 2}) has an endpoint outside 0..2"),
         ],
     )
     def test_first_fault_in_input_order(self, n, arcs, error, message):
@@ -90,6 +92,38 @@ class TestFromArcs:
     def test_pairs_required(self):
         with pytest.raises(ValueError):
             from_arcs(3, [(0, 1, 2)])
+
+    # A non-integer endpoint is refused, never truncated (1.7 -> 1) or parsed ("1" -> 1).
+    @pytest.mark.parametrize(
+        "arcs, kind",
+        [
+            ([(0, 1.7), (1, 2), (2, 0)], "float"),
+            (np.array([(0, 1.7), (1, 2), (2, 0)]), "float64"),
+            ([(0.0, 1.0), (1.0, 0.0)], "float"),
+            ([("0", "1")], "str"),
+            (np.array([("0", "1")]), "str_"),
+            ([(True, False)], "bool"),
+            (np.array([(True, False)]), "bool"),
+            ([(0, 1.5), (0, 2**70)], "float"),  # the int64 overflow path checks types too
+        ],
+        ids=["float", "float-array", "integral-floats", "str", "str-array", "bool",
+             "bool-array", "float-past-int64"],
+    )
+    def test_non_integer_endpoints_rejected(self, arcs, kind):
+        with pytest.raises(ValueError, match=rf"^arc endpoints must be integers, got {kind}$"):
+            from_arcs(3, arcs)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [(np.int32(0), np.int64(1)), (1, 0)],
+            np.array([(0, 1), (1, 0)], dtype=np.uint8),
+            np.empty((0, 2)),
+        ],
+        ids=["numpy-scalars", "uint8-array", "empty-float-array"],
+    )
+    def test_integer_endpoints_of_any_width_accepted(self, arcs):
+        assert from_arcs(3, arcs).arcs == {tuple(a) for a in np.asarray(arcs).tolist()}
 
     def test_list_generator_and_array_agree(self):
         arcs = [(2, 0), (0, 1), (1, 2), (1, 0)]

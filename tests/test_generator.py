@@ -17,7 +17,7 @@ from strongbounds import (
     serialize_edge_list,
 )
 from strongbounds.cli import main
-from strongbounds.digraph import _from_out_keys
+from strongbounds.digraph import _from_adjacency
 
 
 class TestValidation:
@@ -94,11 +94,11 @@ class TestConstruction:
     def test_one_from_arcs_call_per_digraph(self, monkeypatch, kwargs):
         calls = []
 
-        def counting_from_out_keys(n, keys):
-            calls.append(n)
-            return _from_out_keys(n, keys)
+        def counting_from_adjacency(adj):
+            calls.append(len(adj))
+            return _from_adjacency(adj)
 
-        monkeypatch.setattr(generator_mod, "_from_out_keys", counting_from_out_keys)
+        monkeypatch.setattr(generator_mod, "_from_adjacency", counting_from_adjacency)
         out = generate_strong_digraph(**kwargs)
         assert calls == [kwargs["n"]]
         assert is_strong(out.digraph)

@@ -212,7 +212,7 @@ class TestProductMetric:
 
     def test_example_ecc_labels(self, example_pair):
         label = ProductLabel(3, 5)
-        ecc = product_metric_summary(example_pair).ecc
+        ecc, _, _ = product_metric_summary(example_pair)
         assert ecc.dtype == np.int32
         assert ecc[label.encode(1, 2)] == 2  # (u2,v3)
         assert ecc[label.encode(0, 1)] == 3  # (u1,v2)
@@ -408,6 +408,15 @@ class TestFormulasAlwaysSound:
         assert ids(product_eccentric_via_factors(pair)) == ids(eccentric_set(metric_profile(prod)))
 
 
+def boundary_form_facts(d):
+    """(∂, e, w, A, m) of one factor by the oracles; w(v) = max md(v, x) over x in N(v)."""
+    md = oracles.md_table(d.n, d.arcs)
+    w = [max((md[v][x] for x in oracles.neighbors(d.n, d.arcs, v)), default=-1)
+         for v in range(d.n)]
+    reach, least = oracles.witness_reach(d.n, d.arcs, md)
+    return oracles.boundary(d.n, d.arcs, md), oracles.ecc_vector(md), w, reach, least
+
+
 class TestKnownDivergences:
     """Frozen minimized counterexamples for the boundary/contour formulas."""
 
@@ -464,6 +473,43 @@ class TestKnownDivergences:
         }
         assert ids(exact & ~paper) == set()
         assert ids(paper & ~exact) == predicted
+
+    @settings(max_examples=60, deadline=None)
+    @given(strong_digraphs(max_n=6), strong_digraphs(max_n=6))
+    @example(from_arcs(D1_N, D1_ARCS), from_arcs(D2_N, D2_ARCS))
+    @example(from_arcs(*CE_BOUNDARY_D1), from_arcs(*CE_BOUNDARY_D2))
+    def test_boundary_formula_diverges_exactly_where_predicted(self, a, b):
+        # sound on ∂1 × ∂2; on ∂1 × (V2 ∖ ∂2) it over-claims where
+        # A1(i) < m2(r) and w2(r) <= e1(i), and misses where A1(i) >= m2(r)
+        # and w2(r) > e1(i); the other strip is the mirror image
+        pair = FactorPair.from_digraphs(a, b)
+        paper = product_boundary_via_factors(pair)
+        exact = product_boundary_exact_via_factors(pair)
+        (bd1, e1, w1, a1, m1), (bd2, e2, w2, a2, m2) = map(boundary_form_facts, (a, b))
+        over, miss = set(), set()
+        for i in range(a.n):
+            for r in range(b.n):
+                if i in bd1 and r not in bd2:
+                    claims, member = w2[r] <= e1[i], a1[i] >= m2[r]
+                elif r in bd2 and i not in bd1:
+                    claims, member = w1[i] <= e2[r], a2[r] >= m1[i]
+                else:
+                    continue
+                if claims and not member:
+                    over.add(i * b.n + r)
+                if member and not claims:
+                    miss.add(i * b.n + r)
+        assert ids(paper & ~exact) == over
+        assert ids(exact & ~paper) == miss
+
+    def test_example_misses_and_their_cause(self, d1, d2):
+        # the misses (u1,v2) and (u3,v2) (TestExampleFormulaSets): A1 = e1 = 2
+        # reaches m2(v2) = 2, but w2(v2) = 3 > e1
+        _, e1, _, a1, _ = boundary_form_facts(d1)
+        bd2, _, w2, _, m2 = boundary_form_facts(d2)
+        assert 1 not in bd2
+        assert [(a1[i], e1[i]) for i in (0, 2)] == [(2, 2), (2, 2)]
+        assert (m2[1], w2[1]) == (2, 3)
 
 
 class TestNeighborhoodIdentity:
@@ -581,15 +627,12 @@ class TestIdentitySemantics:
 
     @pytest.mark.parametrize(
         "kind",
-        ["MetricProfile", "FactorPair", "ProductMetricSummary", "EdgeListDocument"],
+        ["MetricProfile", "FactorPair", "EdgeListDocument"],
     )
     def test_eq_and_hash_return_values(self, kind, d1, d2, d1_path):
         make = {
             "MetricProfile": lambda: metric_profile(d2),
             "FactorPair": lambda: FactorPair.from_digraphs(d1, d2),
-            "ProductMetricSummary": lambda: product_metric_summary(
-                FactorPair.from_digraphs(d1, d2)
-            ),
             "EdgeListDocument": lambda: strongbounds.parse_edge_list(d1_path.read_text()),
         }[kind]
         a, b = make(), make()

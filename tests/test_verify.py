@@ -22,7 +22,7 @@ from strongbounds import (
     strong_product,
 )
 from strongbounds.cli import EXIT_VIOLATION, main
-from strongbounds.digraph import _from_out_keys
+from strongbounds.digraph import _from_adjacency
 from strongbounds.verify import (
     PROPERTIES,
     _check_metric_axioms,
@@ -65,6 +65,14 @@ class TestConfig:
         # 101 * 101 = 10 201 product vertices exceed DEFAULT_VERTEX_BUDGET
         with pytest.raises(SizeOverflow, match=r"^--n-max 101 .* budget of 10000 vertices$"):
             run_verification(1, n_max=101)
+        assert draws == []
+
+    @pytest.mark.parametrize("p_values", [(0.5, 1.5), (-0.1,), (0.2, 0.4, float("nan"))])
+    def test_every_p_rejected_before_any_draw(self, draws, p_values):
+        # one trial reaches only p_values[0], yet every value is checked
+        bad = p_values[-1]
+        with pytest.raises(InvalidConfig, match=rf"^p must be in \[0, 1\], got {bad}$"):
+            run_verification(1, p_values=p_values)
         assert draws == []
 
     def test_n_max_at_vertex_budget_runs(self, draws):
@@ -186,12 +194,12 @@ class TestMinimizer:
         [(a, b, prop)] = record_failures(monkeypatch, trials=12, seed=0, limit=1)
         built = []
 
-        def recording_from_out_keys(n, keys):
-            d = _from_out_keys(n, keys)
+        def recording_from_adjacency(adj):
+            d = _from_adjacency(adj)
             built.append(d)
             return d
 
-        monkeypatch.setattr(verify_mod, "_from_out_keys", recording_from_out_keys)
+        monkeypatch.setattr(verify_mod, "_from_adjacency", recording_from_adjacency)
         _minimize(a, b, prop)
         candidates = a.arc_count + b.arc_count  # the first pass over each factor alone
         assert 0 < len(built) < candidates

@@ -114,6 +114,9 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     input order (for a repeat, the later copy) and carries its 0-based
     position as ``index``.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"vertex count must be an integer, got {type(n).__name__}")
+    n = int(n)  # a narrow numpy n would wrap in n * n
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
     _require_keyed(n)

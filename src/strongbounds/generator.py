@@ -45,6 +45,18 @@ def _require_probability(p: float) -> None:
         raise InvalidConfig(f"p must be in [0, 1], got {p}")
 
 
+def _require_int(**values: int) -> list[int]:
+    """The values as Python ints; InvalidConfig naming the first that is not an integer.
+
+    Python ints and numpy integer scalars pass, bool does not. Converting keeps
+    later arithmetic such as n * n from wrapping in a narrow numpy type.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidConfig(f"{name} must be an integer, got {type(value).__name__}")
+    return [int(v) for v in values.values()]
+
+
 def generate_strong_digraph(
     n: int, p: float, seed: int = 0, max_retries: int = 20
 ) -> GeneratedDigraph:
@@ -63,6 +75,7 @@ def generate_strong_digraph(
     it is cleared after the draw, and the cycle adds only v -> (v + 1) % n
     with n > 1.
     """
+    n, seed, max_retries = _require_int(n=n, seed=seed, max_retries=max_retries)
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
     _require_probability(p)

@@ -120,6 +120,18 @@ def write_json(payload: dict, stream: TextIO) -> None:
     stream.write("\n")
 
 
+def _digraph_entry(path: str, doc: EdgeListDocument, **metric) -> dict:
+    """One input digraph's record: ``analyze``'s ``input``, each of ``product``'s ``factors``."""
+    return {
+        "path": path,
+        "n": doc.digraph.n,
+        "arc_count": doc.digraph.arc_count,
+        "strong": True,
+        **metric,
+        "labels": {str(v): doc.labels[v] for v in sorted(doc.labels)},
+    }
+
+
 def analyze_digraph(doc: EdgeListDocument, path: str = "<memory>") -> dict:
     """Report payload: full metric and boundary-type analysis of one strong digraph."""
     d = doc.digraph
@@ -128,13 +140,7 @@ def analyze_digraph(doc: EdgeListDocument, path: str = "<memory>") -> dict:
     return {
         "kind": "digraph-analysis",
         "format_version": FORMAT_VERSION,
-        "input": {
-            "path": path,
-            "n": d.n,
-            "arc_count": d.arc_count,
-            "strong": True,
-            "labels": {str(v): doc.labels[v] for v in sorted(doc.labels)},
-        },
+        "input": _digraph_entry(path, doc),
         "neighborhood": "open",
         "metric": {
             "eccentricity": profile.ecc,
@@ -166,25 +172,14 @@ def analyze_product(
     pair = FactorPair.from_digraphs(d1, d2)
     ecc, radius, diameter = product_metric_summary(pair)
 
-    def factor_entry(path: str, doc: EdgeListDocument, profile) -> dict:
-        return {
-            "path": path,
-            "n": doc.digraph.n,
-            "arc_count": doc.digraph.arc_count,
-            "strong": True,
-            "radius": profile.radius,
-            "diameter": profile.diameter,
-            "labels": {str(v): doc.labels[v] for v in sorted(doc.labels)},
-        }
-
     payload: dict = {
         "kind": "product-analysis",
         "format_version": FORMAT_VERSION,
         "mode": mode,
         "neighborhood": "open",
         "factors": [
-            factor_entry(paths[0], doc1, pair.p1),
-            factor_entry(paths[1], doc2, pair.p2),
+            _digraph_entry(path, doc, radius=p.radius, diameter=p.diameter)
+            for path, doc, p in zip(paths, (doc1, doc2), (pair.p1, pair.p2))
         ],
         "product": {
             "n": d1.n * d2.n,

@@ -33,7 +33,7 @@ import numpy as np
 from .boundary import boundary_profile
 from .digraph import Digraph, _adjacency_is_strong, _from_adjacency
 from .errors import InvalidConfig, SizeOverflow
-from .generator import _require_probability, generate_strong_digraph
+from .generator import _require_int, _require_probability, generate_strong_digraph
 from .metric import MetricProfile, metric_profile
 from .product import (
     DEFAULT_VERTEX_BUDGET,
@@ -187,33 +187,31 @@ def _check_trial(d1: Digraph, d2: Digraph, props: tuple[str, ...]) -> dict[str, 
 def _minimize(d1: Digraph, d2: Digraph, prop: str) -> tuple[Digraph, Digraph]:
     """Greedy arc deletion keeping both factors strong and the violation alive.
 
-    Each pass tries the arcs of da in ascending (tail, head) order, deleting
-    one at a time from an adjacency matrix of the arcs kept so far; only a
-    strong candidate is built into a Digraph, by `_from_adjacency`, and
-    checked.
+    Each pass tries one factor's arcs, factor 1 first, in ascending (tail,
+    head) order, deleting one at a time from an adjacency matrix of the arcs
+    kept so far; only a strong candidate is built into a Digraph, by
+    `_from_adjacency`, and checked.
     """
-    def shrink(da: Digraph, db: Digraph, first: bool) -> tuple[Digraph, Digraph]:
+    pair = [d1, d2]
+    for k in (0, 1):
         changed = True
         while changed:
             changed = False
-            rows = da._arc_array()
-            adj = np.zeros((da.n, da.n), dtype=bool)
+            rows = pair[k]._arc_array()
+            adj = np.zeros((pair[k].n, pair[k].n), dtype=bool)
             adj[rows[:, 0], rows[:, 1]] = True
             for tail, head in rows.tolist():
                 adj[tail, head] = False
                 if _adjacency_is_strong(adj):
-                    trimmed = _from_adjacency(adj)
-                    cand = (trimmed, db) if first else (db, trimmed)
-                    if _check_trial(cand[0], cand[1], (prop,))[prop] is not None:
-                        da = trimmed
-                        changed = True
+                    cand = pair.copy()
+                    cand[k] = _from_adjacency(adj)
+                    if _check_trial(*cand, (prop,))[prop] is not None:
+                        pair, changed = cand, True
                         continue
                 adj[tail, head] = True
-        return (da, db) if first else (db, da)
-
-    d1, d2 = shrink(d1, d2, True)
-    d2, d1 = shrink(d2, d1, False)
-    return d1, d2
+    # Known fault: the factors leave swapped, so verify dumps minimized factor 2 as
+    # factor 1 (strict xfail test_dump_keeps_factor_order); the fix changes stdout.
+    return pair[1], pair[0]
 
 
 def run_verification(
@@ -229,6 +227,7 @@ def run_verification(
     Every argument is checked before the first draw, each p value too, even
     one that a short run's trials would never reach.
     """
+    trials, n_max, seed = _require_int(trials=trials, n_max=n_max, seed=seed)
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if n_max < 2:

@@ -47,6 +47,22 @@ class TestFromArcs:
         with pytest.raises(SizeOverflow):
             from_arcs(n, [])
 
+    @pytest.mark.parametrize(
+        "n, kind",
+        [(2.0, "float"), (np.float64(2), "float64"), (True, "bool"), ("2", "str"),
+         (None, "NoneType")],
+    )
+    def test_non_integer_vertex_count_rejected(self, n, kind):
+        with pytest.raises(ValueError, match=rf"^vertex count must be an integer, got {kind}$"):
+            from_arcs(n, [(0, 1), (1, 0)])
+
+    # int16 n = 200 would wrap in n * n = 40 000 if kept narrow
+    @pytest.mark.parametrize("n", [np.int8(2), np.int16(200), np.uint64(2)])
+    def test_numpy_integer_vertex_count_accepted(self, n):
+        d = from_arcs(n, [(0, 1), (1, 0)])
+        assert type(d.n) is int
+        assert d == from_arcs(int(n), [(0, 1), (1, 0)])
+
     def test_equality_ignores_arc_order(self):
         a = from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         b = from_arcs(3, [(2, 0), (0, 1), (1, 2)])

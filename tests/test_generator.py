@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,26 @@ class TestValidation:
     def test_negative_seed(self):
         with pytest.raises(InvalidConfig):
             generate_strong_digraph(n=3, p=0.5, seed=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs, name, kind",
+        [
+            ({"n": 3.0}, "n", "float"),
+            ({"n": True}, "n", "bool"),
+            ({"seed": 1.5}, "seed", "float"),
+            ({"seed": np.float64(1)}, "seed", "float64"),
+            ({"max_retries": 2.0}, "max_retries", "float"),
+            ({"max_retries": "2"}, "max_retries", "str"),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, kwargs, name, kind):
+        with pytest.raises(InvalidConfig, match=rf"^{name} must be an integer, got {kind}$"):
+            generate_strong_digraph(**{"n": 3, "p": 0.5, **kwargs})
+
+    def test_numpy_integer_parameters_accepted(self):
+        # int8 n = 20 would wrap in n * n = 400 if kept narrow
+        out = generate_strong_digraph(np.int8(20), 0.5, np.uint8(1), np.int16(20))
+        assert out == generate_strong_digraph(20, 0.5, 1, 20)
 
     def test_draw_past_numpy_array_limit(self):
         # 2**30 x 2**30 float64 is 2**63 bytes: numpy cannot describe it, so the

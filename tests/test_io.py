@@ -352,6 +352,19 @@ class TestReports:
         assert payload["sets"]["boundary"] == [0, 3, 4]
         assert payload["input"]["labels"]["0"] == "v1"
 
+    @pytest.mark.parametrize("k", [0, 1], ids=["factor1", "factor2"])
+    def test_factor_entry_is_the_input_record(self, k, d1_path, d2_path):
+        # one record per digraph: factor k of a product report is analyze's input
+        # record for the same document and path, plus the factor's radius and diameter
+        paths = (str(d1_path), str(d2_path))
+        docs = [parse_edge_list(p.read_text()) for p in (d1_path, d2_path)]
+        factor = dict(analyze_product(*docs, paths=paths)["factors"][k])
+        metric = {key: factor.pop(key) for key in ("radius", "diameter")}
+        record = analyze_digraph(docs[k], path=paths[k])["input"]
+        assert list(factor.items()) == list(record.items())
+        p = metric_profile(docs[k].digraph)
+        assert metric == {"radius": p.radius, "diameter": p.diameter}
+
     @given(_json_values)
     @example([2**63, -1])  # numpy would meet these in float64
     @example([2**63 + 1, -1, 2**64, 0])

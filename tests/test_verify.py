@@ -75,9 +75,33 @@ class TestConfig:
             run_verification(1, p_values=p_values)
         assert draws == []
 
+    @pytest.mark.parametrize(
+        "kwargs, name, kind",
+        [
+            ({"trials": True}, "trials", "bool"),
+            ({"trials": 1.0}, "trials", "float"),
+            ({"n_max": 3.0}, "n_max", "float"),
+            ({"seed": 1.5}, "seed", "float"),
+        ],
+    )
+    def test_non_integer_parameters_rejected_before_any_draw(self, draws, kwargs, name, kind):
+        with pytest.raises(InvalidConfig, match=rf"^{name} must be an integer, got {kind}$"):
+            run_verification(**{"trials": 1, **kwargs})
+        assert draws == []
+
+    def test_narrow_numpy_n_max_past_vertex_budget_rejected(self, draws):
+        # in int8, 101 * 101 wraps to -39, which would pass the budget check
+        with pytest.raises(SizeOverflow, match=r"^--n-max 101 "):
+            run_verification(np.int8(1), n_max=np.int8(101))
+        assert draws == []
+
     def test_n_max_at_vertex_budget_runs(self, draws):
         # seed 34 draws n1 = 8 and n2 = 2 from 2..100, so the trial is small
         assert run_verification(1, n_max=100, seed=34).trials == 1
+        assert draws == [8, 2]
+
+    def test_numpy_integer_parameters_run(self, draws):
+        assert run_verification(np.int8(1), n_max=np.int8(100), seed=np.uint8(34)).trials == 1
         assert draws == [8, 2]
 
 

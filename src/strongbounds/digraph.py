@@ -102,6 +102,11 @@ class Digraph:
             raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
 
 
+def _not_int_type(t: type) -> bool:
+    """True unless t is a Python or numpy integer type; bool is refused too."""
+    return t is bool or not issubclass(t, (int, np.integer))
+
+
 def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     """Build a digraph, rejecting loops, duplicates, and out-of-range ids.
 
@@ -114,7 +119,7 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
     input order (for a repeat, the later copy) and carries its 0-based
     position as ``index``.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if _not_int_type(type(n)):
         raise ValueError(f"vertex count must be an integer, got {type(n).__name__}")
     n = int(n)  # a narrow numpy n would wrap in n * n
     if n < 1:
@@ -127,7 +132,7 @@ def from_arcs(n: int, arcs: Iterable[Arc] | np.ndarray) -> Digraph:
         raise ValueError(f"arcs must be (tail, head) pairs, got an array of shape {pairs.shape}")
     pairs = pairs.reshape(-1, 2)
     kinds = set(map(type, pairs.flat)) if pairs.dtype == object else {pairs.dtype.type}
-    odd = sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer)))
+    odd = sorted(t.__name__ for t in kinds if _not_int_type(t))
     if pairs.size and odd:
         raise ValueError(f"arc endpoints must be integers, got {', '.join(odd)}")
     if pairs.dtype == np.uint64 and pairs.size and pairs.max() >> 63:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, _adjacency_is_strong, _from_adjacency
+from .digraph import Digraph, _adjacency_is_strong, _from_adjacency, _not_int_type
 from .errors import InvalidConfig, SizeOverflow
 
 # numpy cannot even describe an array of 2**63 bytes or more; an n x n float64
@@ -45,14 +45,13 @@ def _require_probability(p: float) -> None:
         raise InvalidConfig(f"p must be in [0, 1], got {p}")
 
 
-def _require_int(**values: int) -> list[int]:
+def _require_int(**values: object) -> list[int]:
     """The values as Python ints; InvalidConfig naming the first that is not an integer.
 
-    Python ints and numpy integer scalars pass, bool does not. Converting keeps
-    later arithmetic such as n * n from wrapping in a narrow numpy type.
+    Converting keeps later arithmetic such as n * n from wrapping in a narrow numpy type.
     """
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if _not_int_type(type(value)):
             raise InvalidConfig(f"{name} must be an integer, got {type(value).__name__}")
     return [int(v) for v in values.values()]
 

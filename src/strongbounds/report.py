@@ -178,8 +178,8 @@ def analyze_product(
         "mode": mode,
         "neighborhood": "open",
         "factors": [
-            _digraph_entry(path, doc, radius=p.radius, diameter=p.diameter)
-            for path, doc, p in zip(paths, (doc1, doc2), (pair.p1, pair.p2))
+            _digraph_entry(paths[0], doc1, radius=pair.p1.radius, diameter=pair.p1.diameter),
+            _digraph_entry(paths[1], doc2, radius=pair.p2.radius, diameter=pair.p2.diameter),
         ],
         "product": {
             "n": d1.n * d2.n,

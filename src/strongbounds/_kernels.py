@@ -27,21 +27,31 @@ cells (the direction-optimizing idea of Beamer, Asanovic & Patterson, SC 2012):
   - dense step: one S×n by n×n float32 product `frontier @ adjacency`
     through BLAS, S·n² multiply-adds;
   - bit step: the block's sources packed 64 to a uint64 word, as in
-    multi-source BFS (Then et al., PVLDB 2014), and each vertex ORs the
-    words of its in-neighbours: W·m word ORs for W = ⌈S/64⌉, plus packing
-    and unpacking the S·n block cells.
+    multi-source BFS (Then et al., PVLDB 2014). The frontier and the cells
+    not yet reached stay packed, as two (W, n) word arrays for W = ⌈S/64⌉,
+    from one bit level to the next. They are packed from the block's rows
+    at its first bit step, and again after a sparse step, which drops them.
+    The pull is bottom-up, as in Beamer et al.: only a vertex that some
+    source of the block has not reached ORs the words of its in-neighbours.
+    A level thus gathers W·m_open words, m_open being the in-arcs of those
+    vertices, and at most W·m. It then unpacks its new cells once, to write
+    their level.
 
 All costs are counted in BLAS multiply-adds: a sparse step's gathered arcs,
 padding included, weigh `_DENSE_COST` each, a bit step's W·m words and S·n
-cells `_BIT_COST` each. A block takes the cheaper pull form, and each level
-compares the sparse step against it: one cost comparison per level. Since a bit step costs at
+cells `_BIT_COST` each (the cost of a level where every vertex still pulls).
+A block takes the cheaper pull form, and each level compares the sparse step
+against it: one cost comparison per level. Since a bit step costs at
 least `_BIT_COST`·S·n, graphs on at most `_BIT_COST` vertices always pull
 through BLAS, where the bit step's fixed numpy overheads would dominate.
 The dense adjacency is built only when a dense step first runs. The block size
-bounds every per-level array to about `_BLOCK_CELLS` entries, and a bit step
-gathers at most about `_GATHER_WORDS` words at once, so beside the n×n int32
-table, at most one n×n float32 adjacency and the n·D ≤ 2m offsets the
-kernel's memory stays O(`_BLOCK_CELLS` + n).
+bounds every per-level array to about `_BLOCK_CELLS` entries. A bit level
+holds three (W, n) word arrays (3·S·n/8 bytes), at most about `_GATHER_WORDS`
+gathered words, and one unpacked S·n-byte block with its S·n bytes of level
+increments. So beside the n×n int32 table, at most one n×n float32
+adjacency and the n·D ≤ 2m offsets, the kernel's memory stays
+O(`_BLOCK_CELLS` + n). On the 1 600-vertex `oracle-both` product, tracemalloc
+puts a kernel call's peak at 13.4 MB, 10.2 MB of it the table.
 """
 
 from __future__ import annotations
@@ -117,33 +127,101 @@ def _dense_step(rows, mask, adj):
     return reach
 
 
-def _bit_step(rows, mask, in_indptr, in_indices):
-    """Unreached cells of the block one arc beyond the frontier mask, by word ORs.
+# (shift, mask) of the three delta swaps that transpose an 8×8 bit matrix
+_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(bits))
+    for shift, bits in (
+        (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)
+    )
+)
 
-    The frontier packs into a (W, n) uint64 array, word w of column v holding
-    sources 64w..64w+63. Each vertex with an in-arc ORs the words of its in-CSR
-    segment; a vertex without one is left out, since `reduceat` would return a
-    word for its empty segment.
+
+def _transpose8(x):
+    """Transpose the 8×8 bit matrix in each uint64 of x, bit 8i + j to bit 8j + i, in place."""
+    for shift, bits in _SWAPS:
+        t = (x ^ (x >> shift)) & bits
+        x ^= t ^ (t << shift)
+
+
+def _pack(mask):
+    """(W, n) uint64 words of an (S, n) bool block: word w of column v holds sources 64w..64w+63.
+
+    `packbits` along a row is cheap and along a column is not, so the block
+    is packed by rows, 8 vertices to a byte, and its 8×8 bit tiles are then
+    transposed: byte j of word w, v holds sources 64w + 8j..64w + 8j + 7.
     """
-    s, n = rows.shape
-    w = -(-s // 64)
-    bits = np.zeros((n, 8 * w), dtype=np.uint8)
-    bits[:, :-(-s // 8)] = np.packbits(np.ascontiguousarray(mask.T), axis=1, bitorder="little")
-    words = np.ascontiguousarray(bits.view(np.uint64).T)
-    heads = np.flatnonzero(in_indptr[1:] > in_indptr[:-1])
-    bounds = np.append(in_indptr[heads], in_indices.size)
-    pulled = np.zeros((n, w), dtype=np.uint64)
-    # chunks of heads whose in-arcs add up to about _GATHER_WORDS // w
-    cuts = np.searchsorted(bounds, np.arange(0, bounds[-1], max(1, _GATHER_WORDS // w)))
-    cuts = np.unique(np.append(cuts, heads.size)).tolist()
+    s, n = mask.shape
+    w, nb = -(-s // 64), -(-n // 8)
+    bits = np.zeros((64 * w, nb), dtype=np.uint8)
+    bits[:s] = np.packbits(mask, axis=1, bitorder="little")
+    tiles = np.ascontiguousarray(bits.reshape(8 * w, 8, nb).transpose(0, 2, 1))
+    tiles = tiles.view(np.uint64)[..., 0]
+    _transpose8(tiles)
+    tiles = tiles.view(np.uint8).reshape(w, 8, 8 * nb)[:, :, :n]
+    return np.ascontiguousarray(tiles.transpose(0, 2, 1)).view(np.uint64)[..., 0]
+
+
+def _unpack(words, s):
+    """(S, n) bool block of (W, n) uint64 words; the inverse of `_pack`."""
+    w, n = words.shape
+    nb = -(-n // 8)
+    tiles = np.zeros((w, 8 * nb, 8), dtype=np.uint8)
+    tiles[:, :n] = words.view(np.uint8).reshape(w, n, 8)
+    tiles = np.ascontiguousarray(tiles.transpose(0, 2, 1)).view(np.uint64).reshape(8 * w, nb)
+    _transpose8(tiles)
+    bits = tiles.view(np.uint8).reshape(8 * w, nb, 8).transpose(0, 2, 1).reshape(64 * w, nb)[:s]
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
+
+
+# masks of the SWAR popcount: bit pairs, nibbles, bytes, and the byte-summing multiplier
+_POP_MASKS = tuple(np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101
+))
+
+
+def _column_counts(words):
+    """Set bits per column of (W, n) uint64 words, by the SWAR popcount of each word."""
+    m1, m2, m4, h = _POP_MASKS
+    x = words - ((words >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x = (x + (x >> np.uint64(4))) & m4
+    return ((x * h) >> np.uint64(56)).sum(axis=0, dtype=np.int64)
+
+
+def _bit_step(rows, level, front, unseen, live, in_indices, heads, bounds, cuts):
+    """Write `level` into the block cells one arc beyond the frontier words; return the new words.
+
+    front and unseen are (W, n) uint64 words, 64 sources to a word: the
+    block's frontier and the cells it has not reached. Only heads, vertices
+    with an in-arc, can pull, since `reduceat` would return a word for an
+    empty in-CSR segment; `cuts` splits them into chunks whose in-arcs add
+    up to about `_GATHER_WORDS` // W. live flags the heads that some source
+    has not reached, and only those pull: each ORs the frontier words of its
+    in-CSR segment and keeps the bits still unseen. A partly live chunk
+    picks the segments of its live heads by repeating the flags over them.
+    unseen and live are updated in place.
+    """
+    nxt = np.zeros_like(front)
     for a, b in zip(cuts, cuts[1:]):
+        sel = live[a:b]
+        if not sel.any():
+            continue
         lo = bounds[a]
-        gathered = words.take(in_indices[lo:bounds[b]], axis=1)
-        pulled[heads[a:b]] = np.bitwise_or.reduceat(gathered, bounds[a:b] - lo, axis=1).T
-    reach = np.unpackbits(pulled.view(np.uint8), axis=1, count=s, bitorder="little")
-    reach = np.ascontiguousarray(reach.view(bool).T)
-    reach &= rows < 0
-    return reach
+        idx, cols, starts = in_indices[lo:bounds[b]], heads[a:b], bounds[a:b] - lo
+        if not sel.all():
+            sizes = bounds[a + 1:b + 1] - bounds[a:b]
+            idx, cols, sizes = idx[np.repeat(sel, sizes)], cols[sel], sizes[sel]
+            starts = np.cumsum(sizes) - sizes
+        nxt[:, cols] = np.bitwise_or.reduceat(front.take(idx, axis=1), starts, axis=1)
+    nxt &= unseen
+    unseen ^= nxt
+    live &= unseen.take(heads, axis=1).any(axis=0)
+    # The new cells hold -1, so adding level + 1 there writes the level. In the
+    # narrowest type that holds it, this took 0.24 ms on a half-full 419×1600
+    # block, where `rows[mask] = level` took 3.7 ms (one core, shared 2-vCPU VM).
+    narrow = np.min_scalar_type(level + 1)
+    rows += np.multiply(_unpack(nxt, rows.shape[0]), level + 1, dtype=narrow)
+    return nxt
 
 
 def all_pairs_directed_dist(
@@ -162,14 +240,15 @@ def all_pairs_directed_dist(
     adj = None
     width = int(deg.max())
     padded = n * width <= _PAD_RATIO * indices.size
-    offsets = counts = None
+    offsets = counts = plan = None
     block = max(1, min(_BLOCK_CELLS // n, _BLOCK_CELLS * _DENSE_COST // (n * n)))
     for s0 in range(0, n, block):
         rows = dist[s0:s0 + block]
         flat = rows.reshape(-1)
-        keys = None
+        keys = front = None
         todo = np.count_nonzero(rows < 0)  # before the frontier, so one bool block at a time
-        mask = rows == 1  # the frontier: a bool block, or else the keys of its cells
+        # the frontier, one of: a bool block, the keys of its cells, or bit-step words
+        mask = rows == 1
         dense_cells = flat.size * n
         bit_cells = _BIT_COST * (-(-rows.shape[0] // 64) * indices.size + flat.size)
         pull_cells = min(dense_cells, bit_cells)
@@ -181,6 +260,8 @@ def all_pairs_directed_dist(
                 # a sparse step's gathered arcs, padding included
                 if mask is not None:
                     arcs = np.count_nonzero(mask) * width if padded else mask.sum(axis=0) @ deg
+                elif front is not None:
+                    arcs = found * width if padded else front_counts @ deg
                 else:
                     cols = keys % n
                     if padded:
@@ -190,22 +271,37 @@ def all_pairs_directed_dist(
                         arcs = counts.sum()
                 pull = arcs * _DENSE_COST > pull_cells
             if pull:
-                if mask is None:
+                if keys is not None:
                     mask = np.zeros(rows.shape, dtype=bool)
                     mask.reshape(-1)[keys] = True
+                    keys = None
                 if bit_cells < dense_cells:
-                    mask = _bit_step(rows, mask, in_indptr, in_indices)
+                    if plan is None:  # the call's first bit step
+                        heads = np.flatnonzero(in_indptr[1:] > in_indptr[:-1])
+                        bounds = np.append(in_indptr[heads], in_indices.size)
+                        # chunks of heads whose in-arcs add up to about _GATHER_WORDS // W
+                        step = max(1, _GATHER_WORDS // -(-block // 64))
+                        cuts = np.searchsorted(bounds, np.arange(0, bounds[-1], step))
+                        plan = heads, bounds, np.unique(np.append(cuts, heads.size)).tolist()
+                    # the block's first bit step, or the first after a sparse one
+                    if front is None:
+                        front, mask = _pack(mask), None
+                        unseen = _pack(rows < 0)
+                        live = unseen.take(heads, axis=1).any(axis=0)
+                    front = _bit_step(rows, level, front, unseen, live, in_indices, *plan)
+                    front_counts = _column_counts(front)
+                    found = front_counts.sum()
                 else:
                     if adj is None:
                         adj = np.zeros((n, n), dtype=np.float32)
                         adj.reshape(-1)[arc_cells] = 1.0
                     mask = _dense_step(rows, mask, adj)
-                found = np.count_nonzero(mask)
-                rows[mask] = level
+                    found = np.count_nonzero(mask)
+                    rows[mask] = level
             else:
-                if mask is not None:
-                    keys = np.flatnonzero(mask)
-                    mask = None
+                if keys is None:
+                    keys = np.flatnonzero(mask if front is None else _unpack(front, rows.shape[0]))
+                    mask = front = None
                     cols = keys % n
                     if not padded:
                         counts = deg.take(cols)

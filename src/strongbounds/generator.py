@@ -17,6 +17,7 @@ the kept attempt are never used, and the generator is discarded with them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,9 @@ class GeneratedDigraph:
 
 
 def _require_probability(p: float) -> None:
-    """InvalidConfig unless p is an arc probability in [0, 1]."""
+    """InvalidConfig unless p is a real arc probability in [0, 1]; a bool is refused too."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise InvalidConfig(f"p must be a real number, got {type(p).__name__}")
     if not 0.0 <= p <= 1.0:
         raise InvalidConfig(f"p must be in [0, 1], got {p}")
 

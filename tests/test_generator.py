@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(InvalidConfig, match=rf"^{name} must be an integer, got {kind}$"):
             generate_strong_digraph(**{"n": 3, "p": 0.5, **kwargs})
 
+    @pytest.mark.parametrize("p", [True, np.bool_(False), "0.5", None])
+    def test_non_real_p_rejected_before_any_draw(self, monkeypatch, p):
+        # a bool is no probability, though Python would compare it as 1 or 0
+        seeds = []
+        monkeypatch.setattr(generator_mod.np.random, "default_rng", seeds.append)
+        with pytest.raises(InvalidConfig, match=rf"^p must be a real number, got {type(p).__name__}$"):
+            generate_strong_digraph(n=3, p=p, seed=1)
+        assert seeds == []
+
     def test_numpy_integer_parameters_accepted(self):
         # int8 n = 20 would wrap in n * n = 400 if kept narrow
         out = generate_strong_digraph(np.int8(20), 0.5, np.uint8(1), np.int16(20))

@@ -1,8 +1,11 @@
 """The all-sources BFS kernel and the boundary scan against independent oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from strongbounds import (
@@ -47,6 +50,24 @@ def _bidirected_grid(k):
         np.stack([v[:-1].ravel(), v[1:].ravel()], axis=1),
     ])
     return from_arcs(k * k, np.concatenate([pairs, pairs[:, ::-1]]))
+
+
+def _barbell(cluster, path, seed):
+    """Two random dense clusters joined by a bidirected path of `path` inner vertices."""
+    rng = np.random.default_rng(seed)
+    n = 2 * cluster + path
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:cluster, :cluster] = rng.random((cluster, cluster)) < 0.5
+    adj[-cluster:, -cluster:] = rng.random((cluster, cluster)) < 0.5
+    v = np.arange(cluster - 1, n - cluster)
+    adj[v, v + 1] = adj[v + 1, v] = True
+    np.fill_diagonal(adj, False)
+    return from_arcs(n, np.argwhere(adj))
+
+
+def _per_source(d):
+    """The hop table from one `directed_distances_from` BFS per source."""
+    return np.stack([directed_distances_from(d, s) for s in range(d.n)])
 
 
 def _hub_cycle(n):
@@ -148,7 +169,7 @@ class TestAllPairsBFS:
         n = 300
         d = _hub_cycle(n)
         assert n * (n - 1) > _kernels._PAD_RATIO * d.out_indices.size
-        expected = np.stack([directed_distances_from(d, s) for s in range(n)])
+        expected = _per_source(d)
         assert np.array_equal(_dist(d), expected)
         assert set(steps) == {"sparse"}
         assert offset_tables == []
@@ -198,7 +219,7 @@ class TestAllPairsBFS:
         for v in range(core - 1, n - 1):
             arcs += [(v, v + 1), (v + 1, v)]
         d = from_arcs(n, arcs)
-        expected = np.stack([directed_distances_from(d, s) for s in range(n)])
+        expected = _per_source(d)
         assert np.array_equal(_dist(d), expected)
         first_pull = min(steps.index(kind) for kind in ("dense", "bit") if kind in steps)
         assert "sparse" in steps[first_pull:]
@@ -244,9 +265,78 @@ class TestAllPairsBFS:
         np.fill_diagonal(adj, False)
         adj[:, [0, n - 1]] = False
         d = from_arcs(n, np.argwhere(adj))
-        expected = np.stack([directed_distances_from(d, s) for s in range(n)])
+        expected = _per_source(d)
         assert np.array_equal(_dist(d), expected)
         assert "bit" in steps
+
+    def test_barbell_repacks_after_sparse_steps(self, steps, monkeypatch):
+        # the first cluster's levels pull by words, the walk down the path is
+        # sparse, and the second cluster pulls by words again, from words
+        # packed afresh out of the block's rows
+        d = _barbell(60, 100, seed=0)
+        assert d.n > _kernels._BIT_COST
+        sources = set()
+        bit_step = _kernels._bit_step
+
+        def sized_step(rows, *args):
+            sources.add(rows.shape[0])
+            return bit_step(rows, *args)
+
+        monkeypatch.setattr(_kernels, "_bit_step", sized_step)
+        assert np.array_equal(_dist(d), _per_source(d))
+        assert sources == {d.n}  # one block
+        assert re.fullmatch(r"b+s+b+", "".join(kind[0] for kind in steps))
+
+    def test_late_bit_level_gathers_only_open_vertices(self, steps, monkeypatch):
+        # by the last level of this 275-vertex draw (diameter 4) most vertices
+        # have been reached from every source, so only the rest gather words
+        rng = np.random.default_rng(0)
+        n = 275
+        adj = rng.random((n, n)) < 0.05
+        np.fill_diagonal(adj, False)
+        d = from_arcs(n, np.argwhere(adj))
+        gathered = []  # in-arcs whose frontier words each bit level gathers
+
+        class Words(np.ndarray):
+            def take(self, indices, axis=None):
+                gathered[-1] += len(indices)
+                return np.asarray(self).take(indices, axis=axis)
+
+        bit_step = _kernels._bit_step
+
+        def counted_step(rows, level, front, *args):
+            gathered.append(0)
+            return bit_step(rows, level, front.view(Words), *args)
+
+        monkeypatch.setattr(_kernels, "_bit_step", counted_step)
+        expected = _per_source(d)
+        assert np.array_equal(_dist(d), expected)
+        m = d.out_indices.size
+        assert steps == ["bit"] * 3 and expected.max() == 4
+        assert gathered[:2] == [m, m]
+        assert gathered[-1] < m // 4
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(129, 300),
+        st.sampled_from([0.02, 0.05, 0.1, 0.2]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_bit_steps_match_per_source_bfs(self, n, p, seed, strong):
+        # past _BIT_COST vertices the pulls go by words; without strongness no
+        # arc leads from the upper half back to the lower one, so those holes
+        # must read -1 and keep their vertices open to the end
+        if strong:
+            d = generate_strong_digraph(n=n, p=p, seed=seed).digraph
+        else:
+            adj = np.random.default_rng(seed).random((n, n)) < p
+            np.fill_diagonal(adj, False)
+            adj[n // 2:, :n // 2] = False
+            d = from_arcs(n, np.argwhere(adj))
+        expected = _per_source(d)
+        assert np.array_equal(_dist(d), expected)
+        assert strong or (expected < 0).any()
 
     def test_no_bit_steps_at_verify_sizes(self, steps):
         # a bit step costs at least _BIT_COST per block cell, a dense step n,

@@ -75,6 +75,13 @@ class TestConfig:
             run_verification(1, p_values=p_values)
         assert draws == []
 
+    @pytest.mark.parametrize("p_values", [(None,), (0.2, True), (np.bool_(True),), ("0.5",)])
+    def test_non_real_p_rejected_before_any_draw(self, draws, p_values):
+        kind = type(p_values[-1]).__name__
+        with pytest.raises(InvalidConfig, match=rf"^p must be a real number, got {kind}$"):
+            run_verification(1, p_values=p_values)
+        assert draws == []
+
     @pytest.mark.parametrize(
         "kwargs, name, kind",
         [

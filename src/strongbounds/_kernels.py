@@ -1,10 +1,14 @@
 """Hot numeric kernel: all-pairs directed hop counts.
 
 `all_pairs_directed_dist` is one breadth-first search (BFS) from every source
-at once, in numpy only. Sources run in blocks of S rows of the distance table,
-and the frontier is every (source, vertex) cell first reached at the previous
-level. Each level expands it in whichever of two directions touches fewer
-cells (the direction-optimizing idea of Beamer, Asanovic & Patterson, SC 2012):
+at once, in numpy only. Sources run in blocks of S rows of the distance table.
+A block writes its level 1 from its own sources' CSR rows and its zero
+diagonal at cells (k, s0 + k), so it reads nothing of the other blocks. The
+frontier is every (source, vertex) cell first reached at the previous level.
+Between levels it is held in one form: the int64 keys row·n + v of its cells,
+or packed words across a run of bit steps. Each level expands it in whichever
+of two directions touches fewer cells (the direction-optimizing idea of
+Beamer, Asanovic & Patterson, SC 2012):
 
 - sparse (push) step: gather the cells one out-arc beyond the frontier, keep
   the unreached ones and deduplicate them without sorting. Work is
@@ -24,13 +28,17 @@ cells (the direction-optimizing idea of Beamer, Asanovic & Patterson, SC 2012):
 - pull step: every unreached cell asks whether an in-neighbour is in the
   frontier. Its cost does not depend on the frontier, so low-diameter dense
   graphs take a few of them. It runs in one of two forms, fixed per block:
-  - dense step: one S×n by n×n float32 product `frontier @ adjacency`
-    through BLAS, S·n² multiply-adds;
+  - dense step: the frontier keys scattered into an S×n float32 block, one
+    S×n by n×n product `frontier @ adjacency` through BLAS, S·n²
+    multiply-adds, and the keys of the new cells read back;
   - bit step: the block's sources packed 64 to a uint64 word, as in
     multi-source BFS (Then et al., PVLDB 2014). The frontier and the cells
     not yet reached stay packed, as two (W, n) word arrays for W = ⌈S/64⌉,
-    from one bit level to the next. They are packed from the block's rows
-    at its first bit step, and again after a sparse step, which drops them.
+    from one bit level to the next. At the block's first bit step, and again
+    after a sparse step, the frontier words are packed from the keys through
+    a bool block, and the unreached words from the block's rows through the
+    same block, which is then dropped; a sparse step unpacks the frontier
+    words back to keys and drops both.
     The pull is bottom-up, as in Beamer et al.: only a vertex that some
     source of the block has not reached ORs the words of its in-neighbours.
     A level thus gathers W·m_open words, m_open being the in-arcs of those
@@ -44,14 +52,14 @@ A block takes the cheaper pull form, and each level compares the sparse step
 against it: one cost comparison per level. Since a bit step costs at
 least `_BIT_COST`·S·n, graphs on at most `_BIT_COST` vertices always pull
 through BLAS, where the bit step's fixed numpy overheads would dominate.
-The dense adjacency is built only when a dense step first runs. The block size
-bounds every per-level array to about `_BLOCK_CELLS` entries. A bit level
-holds three (W, n) word arrays (3·S·n/8 bytes), at most about `_GATHER_WORDS`
-gathered words, and one unpacked S·n-byte block with its S·n bytes of level
-increments. So beside the n×n int32 table, at most one n×n float32
-adjacency and the n·D ≤ 2m offsets, the kernel's memory stays
-O(`_BLOCK_CELLS` + n). On the 1 600-vertex `oracle-both` product, tracemalloc
-puts a kernel call's peak at 13.4 MB, 10.2 MB of it the table.
+The dense adjacency is built from the CSR only when a dense step first runs.
+The block size bounds every per-level array to about `_BLOCK_CELLS` entries.
+A bit level holds three (W, n) word arrays (3·S·n/8 bytes), at most about
+`_GATHER_WORDS` gathered words, and one unpacked S·n-byte block with its S·n
+bytes of level increments. So beside the n×n int32 table, at most one n×n
+float32 adjacency and the n·D ≤ 2m offsets, the kernel's memory stays
+O(`_BLOCK_CELLS` + n). On the 1 600-vertex `oracle-both` product,
+tracemalloc puts a kernel call's peak at 12.6 MB, 10.2 MB of it the table.
 """
 
 from __future__ import annotations
@@ -120,11 +128,13 @@ def _sparse_step(flat, keys, cols, counts, indptr, indices, offsets):
     return cand[flat.take(cand) == tag]
 
 
-def _dense_step(rows, mask, adj):
-    """Unreached cells of the block one arc beyond the frontier mask, through BLAS."""
-    reach = np.matmul(mask.astype(np.float32), adj) > 0
+def _dense_step(rows, keys, adj):
+    """Keys of the unreached block cells one arc beyond the frontier keys, through BLAS."""
+    front = np.zeros(rows.shape, dtype=np.float32)
+    front.reshape(-1)[keys] = 1.0
+    reach = np.matmul(front, adj) > 0
     reach &= rows < 0
-    return reach
+    return np.flatnonzero(reach)
 
 
 # (shift, mask) of the three delta swaps that transpose an 8×8 bit matrix
@@ -234,9 +244,6 @@ def all_pairs_directed_dist(
     """Directed hop-count table from the out- and in-CSR; -1 where unreachable."""
     dist = np.full((n, n), -1, dtype=np.int32)
     deg = indptr[1:] - indptr[:-1]
-    arc_cells = np.repeat(np.arange(0, n * n, n), deg) + indices
-    dist.reshape(-1)[arc_cells] = 1  # level 1 of every source at once
-    np.fill_diagonal(dist, 0)
     adj = None
     width = int(deg.max())
     padded = n * width <= _PAD_RATIO * indices.size
@@ -245,12 +252,16 @@ def all_pairs_directed_dist(
     for s0 in range(0, n, block):
         rows = dist[s0:s0 + block]
         flat = rows.reshape(-1)
-        keys = front = None
-        todo = np.count_nonzero(rows < 0)  # before the frontier, so one bool block at a time
-        # the frontier, one of: a bool block, the keys of its cells, or bit-step words
-        mask = rows == 1
+        s = rows.shape[0]
+        # level 1 from the block's own out-arcs, then the zero diagonal (k, s0 + k)
+        keys = np.repeat(np.arange(0, s * n, n), deg[s0:s0 + s]) + indices[indptr[s0]:indptr[s0 + s]]
+        flat[keys] = 1
+        flat[np.arange(s0, s0 + s * (n + 1), n + 1)] = 0
+        todo = flat.size - s - keys.size  # no arc is a loop
+        # the frontier between levels: the keys of its cells, or bit-step words
+        front = None
         dense_cells = flat.size * n
-        bit_cells = _BIT_COST * (-(-rows.shape[0] // 64) * indices.size + flat.size)
+        bit_cells = _BIT_COST * (-(-s // 64) * indices.size + flat.size)
         pull_cells = min(dense_cells, bit_cells)
         level = 1
         while todo:
@@ -258,58 +269,51 @@ def all_pairs_directed_dist(
             pull = pull_cells < _DENSE_COST  # tiny blocks skip counting arcs
             if not pull:
                 # a sparse step's gathered arcs, padding included
-                if mask is not None:
-                    arcs = np.count_nonzero(mask) * width if padded else mask.sum(axis=0) @ deg
-                elif front is not None:
+                if front is not None:
                     arcs = found * width if padded else front_counts @ deg
+                elif padded:
+                    arcs = keys.size * width
                 else:
                     cols = keys % n
-                    if padded:
-                        arcs = keys.size * width
-                    else:
-                        counts = deg.take(cols)
-                        arcs = counts.sum()
+                    counts = deg.take(cols)
+                    arcs = counts.sum()
                 pull = arcs * _DENSE_COST > pull_cells
-            if pull:
-                if keys is not None:
+            if pull and bit_cells < dense_cells:
+                if plan is None:  # the call's first bit step
+                    heads = np.flatnonzero(in_indptr[1:] > in_indptr[:-1])
+                    bounds = np.append(in_indptr[heads], in_indices.size)
+                    # chunks of heads whose in-arcs add up to about _GATHER_WORDS // W
+                    step = max(1, _GATHER_WORDS // -(-block // 64))
+                    cuts = np.searchsorted(bounds, np.arange(0, bounds[-1], step))
+                    plan = heads, bounds, np.unique(np.append(cuts, heads.size)).tolist()
+                # the block's first bit step, or the first after a sparse one
+                if front is None:
                     mask = np.zeros(rows.shape, dtype=bool)
                     mask.reshape(-1)[keys] = True
-                    keys = None
-                if bit_cells < dense_cells:
-                    if plan is None:  # the call's first bit step
-                        heads = np.flatnonzero(in_indptr[1:] > in_indptr[:-1])
-                        bounds = np.append(in_indptr[heads], in_indices.size)
-                        # chunks of heads whose in-arcs add up to about _GATHER_WORDS // W
-                        step = max(1, _GATHER_WORDS // -(-block // 64))
-                        cuts = np.searchsorted(bounds, np.arange(0, bounds[-1], step))
-                        plan = heads, bounds, np.unique(np.append(cuts, heads.size)).tolist()
-                    # the block's first bit step, or the first after a sparse one
-                    if front is None:
-                        front, mask = _pack(mask), None
-                        unseen = _pack(rows < 0)
-                        live = unseen.take(heads, axis=1).any(axis=0)
-                    front = _bit_step(rows, level, front, unseen, live, in_indices, *plan)
-                    front_counts = _column_counts(front)
-                    found = front_counts.sum()
-                else:
-                    if adj is None:
-                        adj = np.zeros((n, n), dtype=np.float32)
-                        adj.reshape(-1)[arc_cells] = 1.0
-                    mask = _dense_step(rows, mask, adj)
-                    found = np.count_nonzero(mask)
-                    rows[mask] = level
+                    front, unseen, keys = _pack(mask), _pack(np.less(rows, 0, out=mask)), None
+                    live = unseen.take(heads, axis=1).any(axis=0)
+                    del mask  # kept to the block's end, it would raise the call's peak
+                front = _bit_step(rows, level, front, unseen, live, in_indices, *plan)
+                front_counts = _column_counts(front)
+                found = front_counts.sum()
             else:
-                if keys is None:
-                    keys = np.flatnonzero(mask if front is None else _unpack(front, rows.shape[0]))
-                    mask = front = None
-                    cols = keys % n
+                if front is not None:  # a sparse step after bit steps
+                    keys, front = np.flatnonzero(_unpack(front, s)), None
                     if not padded:
+                        cols = keys % n
                         counts = deg.take(cols)
-                if not arcs:
-                    keys = keys[:0]
+                if pull:
+                    if adj is None:  # the call's first dense step
+                        adj = np.zeros((n, n), dtype=np.float32)
+                        adj[np.arange(n).repeat(deg), indices] = 1.0
+                    keys = _dense_step(rows, keys, adj)
+                elif not arcs:
+                    break
                 else:
-                    if padded and offsets is None:  # the call's first sparse step
-                        offsets = _out_offsets(indices, deg, width)
+                    if padded:
+                        cols = keys % n
+                        if offsets is None:  # the call's first sparse step
+                            offsets = _out_offsets(indices, deg, width)
                     keys = _sparse_step(flat, keys, cols, counts, indptr, indices, offsets)
                 found = keys.size
                 flat[keys] = level

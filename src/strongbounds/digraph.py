@@ -98,6 +98,9 @@ class Digraph:
         return self.out_indices.size
 
     def _check_vertex(self, v: int) -> None:
+        """VertexOutOfRange unless 0 <= v < n; ValueError for a bool, float or other non-integer v."""
+        if _not_int_type(type(v)):
+            raise ValueError(f"vertex must be an integer, got {type(v).__name__}")
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
 

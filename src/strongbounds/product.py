@@ -38,7 +38,7 @@ from .boundary import (
     _worst_columns,
     boundary_profile,
 )
-from .digraph import Digraph, _from_out_keys, _require_keyed
+from .digraph import Digraph, _from_out_keys, _not_int_type, _require_keyed
 from .errors import NotStrong, SizeOverflow, VertexOutOfRange
 from .metric import MetricProfile, metric_profile
 
@@ -47,20 +47,29 @@ DEFAULT_VERTEX_BUDGET = 10_000
 
 @dataclass(frozen=True)
 class ProductLabel:
-    """Bijection between product vertex ids and factor index pairs."""
+    """Bijection between product vertex ids and factor index pairs, as Python ints.
+
+    A bool, float or other non-integer id raises ValueError; a numpy integer
+    is taken as a Python int, so i * n2 + r cannot wrap in a narrow dtype.
+    """
 
     n1: int
     n2: int
 
     def encode(self, i: int, r: int) -> int:
+        odd = sorted({type(k).__name__ for k in (i, r) if _not_int_type(type(k))})
+        if odd:
+            raise ValueError(f"factor indices must be integers, got {', '.join(odd)}")
         if not (0 <= i < self.n1 and 0 <= r < self.n2):
             raise VertexOutOfRange(f"pair ({i},{r}) not in {self.n1}x{self.n2}")
-        return i * self.n2 + r
+        return int(i) * self.n2 + int(r)
 
     def decode(self, x: int) -> tuple[int, int]:
+        if _not_int_type(type(x)):
+            raise ValueError(f"product vertex must be an integer, got {type(x).__name__}")
         if not 0 <= x < self.n1 * self.n2:
             raise VertexOutOfRange(f"product vertex {x} not in 0..{self.n1 * self.n2 - 1}")
-        return divmod(x, self.n2)
+        return divmod(int(x), self.n2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,6 +75,13 @@ def _hub_cycle(n):
     return from_arcs(n, [(i, (i + 1) % n) for i in range(n)] + [(0, j) for j in range(2, n)])
 
 
+def _near_complete_product():
+    """The 300-vertex product of two near-complete draws, whose pulls go through BLAS."""
+    g1 = generate_strong_digraph(n=20, p=0.9, seed=11).digraph
+    g2 = generate_strong_digraph(n=15, p=0.9, seed=12).digraph
+    return strong_product(g1, g2)[0]
+
+
 @pytest.fixture
 def steps(monkeypatch):
     """Kinds of BFS step the kernel takes, in order."""
@@ -229,7 +236,7 @@ class TestAllPairsBFS:
         # would gather more words than the matrix product costs
         g1 = generate_strong_digraph(n=20, p=0.9, seed=11).digraph
         g2 = generate_strong_digraph(n=15, p=0.9, seed=12).digraph
-        prod, _ = strong_product(g1, g2)
+        prod = _near_complete_product()
         expected = _outer_max(_dist(g1), _dist(g2))
         steps.clear()
         assert np.array_equal(_dist(prod), expected)
@@ -337,6 +344,38 @@ class TestAllPairsBFS:
         expected = _per_source(d)
         assert np.array_equal(_dist(d), expected)
         assert strong or (expected < 0).any()
+
+    @pytest.mark.parametrize("build, rows, kind, tables", [
+        (_near_complete_product, 7, "dense", []),
+        (lambda: generate_strong_digraph(n=300, p=0.05, seed=1).digraph, 100, "bit", []),
+        (lambda: _bidirected_path(300), 7, "sparse", [(300, 2)]),
+        (lambda: _hub_cycle(300), 30, "sparse", []),
+    ], ids=["dense", "bit", "padded-sparse", "csr-sparse"])
+    def test_small_blocks_match_per_source_bfs(
+        self, steps, offset_tables, monkeypatch, build, rows, kind, tables
+    ):
+        # blocks of a few rows write level 1, the diagonal and the count of
+        # cells left at first sources s0 > 0, and every block takes only the
+        # case's step kind. A bit step needs blocks of at least 64 rows, and
+        # the hub cycle blocks of 30: in smaller ones, rows that reach the
+        # hub pull by words.
+        d = build()
+        n = d.n
+        monkeypatch.setattr(_kernels, "_BLOCK_CELLS", rows * n)
+        starts = set()
+        step = getattr(_kernels, f"_{kind}_step")
+
+        def located(cells, *args):
+            # cells views rows of the table, so its offset in it gives s0
+            starts.add((cells.ctypes.data - cells.base.ctypes.data) // (cells.itemsize * n))
+            return step(cells, *args)
+
+        monkeypatch.setattr(_kernels, f"_{kind}_step", located)
+        expected = _per_source(d)
+        assert np.array_equal(_dist(d), expected)
+        assert set(steps) == {kind}
+        assert starts == set(range(0, n, rows))
+        assert offset_tables == tables
 
     def test_no_bit_steps_at_verify_sizes(self, steps):
         # a bit step costs at least _BIT_COST per block cell, a dense step n,

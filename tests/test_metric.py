@@ -52,6 +52,16 @@ class TestDirectedDistances:
         with pytest.raises(VertexOutOfRange):
             directed_distances_from(d1, 5)
 
+    @pytest.mark.parametrize("source", [True, 1.0, np.float64(1), "1", None])
+    def test_source_of_non_integer_type_refused(self, source):
+        # True once ran silently from vertex 1; the rest ended in a raw TypeError
+        d = directed_cycle(3)
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            directed_distances_from(d, source)
+
+    def test_numpy_integer_source_accepted(self):
+        assert directed_distances_from(directed_cycle(3), np.uint8(1)).tolist() == [2, 0, 1]
+
 
 class TestAllPairs:
     def test_example_d1_entries(self, d1):

@@ -192,6 +192,25 @@ class TestProductLabel:
                 seen.add(x)
         assert seen == set(range(n1 * n2))
 
+    @pytest.mark.parametrize("pair", [(1.0, 2), (1, True), ("1", 2), (None, 0)])
+    def test_encode_refuses_non_integer_indices(self, pair):
+        with pytest.raises(ValueError, match="factor indices must be integers"):
+            ProductLabel(3, 4).encode(*pair)
+
+    @pytest.mark.parametrize("x", [5.0, False, "5", None])
+    def test_decode_refuses_non_integer_vertex(self, x):
+        label = ProductLabel(3, 4)
+        with pytest.raises(ValueError, match="product vertex must be an integer"):
+            label.decode(x)
+
+    def test_numpy_indices_give_python_ints(self):
+        # in int16, 200 * 300 would wrap to a negative id
+        label = ProductLabel(300, 300)
+        x = label.encode(np.int16(200), np.uint8(5))
+        assert type(x) is int and x == 60_005
+        assert label.decode(np.int64(x)) == (200, 5)
+        assert all(type(k) is int for k in label.decode(np.int16(30_000)))
+
 
 class TestProductMetric:
     def test_example_distance(self, example_pair, example_product):

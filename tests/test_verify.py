@@ -238,7 +238,7 @@ class TestMinimizer:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="_minimize assigns its second shrink crosswise and returns the factors swapped",
+        reason="_minimize ends in `return pair[1], pair[0]`, so the factors leave swapped",
     )
     def test_dump_keeps_factor_order(self, monkeypatch):
         # minimized factor k is a spanning subdigraph of trial factor k

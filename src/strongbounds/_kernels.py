@@ -45,6 +45,14 @@ Beamer, Asanovic & Patterson, SC 2012):
     vertices, and at most W·m. It then unpacks its new cells once, to write
     their level.
 
+Only the frontier crosses a level. Its cell count is kept from level 1 on:
+the number of keys, or the popcount of the words after a bit step
+(`np.bitwise_count`, numpy >= 2.0). A padded sparse step gathers that count
+times D arcs; a CSR step gathers the frontier's out-degree sum, read off the
+keys' columns, or off the words' column popcounts after a bit step. The sparse
+step reads the columns key mod n off the keys itself, unless the CSR estimate
+has just gathered them and the out-degrees, which it hands over.
+
 All costs are counted in BLAS multiply-adds: a sparse step's gathered arcs,
 padding included, weigh `_DENSE_COST` each, a bit step's W·m words and S·n
 cells `_BIT_COST` each (the cost of a level where every vertex still pulls).
@@ -84,10 +92,9 @@ _PAD_RATIO = 2
 
 def _out_offsets(indices, deg, width):
     """(n, width) int64 table of head - tail per out-arc; short rows padded with 0."""
-    n = deg.size
-    offsets = np.zeros((n, width), dtype=np.int64)
+    offsets = np.zeros((deg.size, width), dtype=np.int64)
     # row-major boolean scatter: row v's first deg[v] slots take its CSR segment
-    offsets[np.arange(width) < deg[:, None]] = indices - np.arange(n).repeat(deg)
+    offsets[np.arange(width) < deg[:, None]] = indices - np.arange(deg.size).repeat(deg)
     return offsets
 
 
@@ -102,6 +109,11 @@ def _sparse_step(flat, keys, cols, counts, indptr, indices, offsets):
     it, so the `< 0` filter drops the padded candidates, as it drops any cell
     already reached. Without the table (`offsets` None), the candidates are
     expanded from the CSR rows, `counts` holding each key's out-degree.
+    The step reads the columns `cols = keys % n` off the keys, and in the CSR
+    form the counts off `indptr`, unless the caller passes the ones its cost
+    estimate has already gathered: on a 300-vertex directed cycle with one
+    out-hub, whose ~300 CSR steps each expand about 300 keys, a second
+    `keys % n` per step made the kernel about 0.5 ms (6%) slower.
 
     The padded rows interleave padding and arcs back into reached cells with
     new cells, so their keep mask alternates, where `compress` beats a boolean
@@ -115,12 +127,15 @@ def _sparse_step(flat, keys, cols, counts, indptr, indices, offsets):
     the candidates are duplicates, goes the other way (33.6 against 14.6 ms);
     both measured on masks recorded from a run, shared 2-vCPU VM.
     """
+    cols = keys % (indptr.size - 1) if cols is None else cols
     if offsets is not None:
         cand = (keys[:, None] + offsets.take(cols, axis=0)).reshape(-1)
         cand = cand.compress(flat.take(cand) < 0)
     else:
+        starts = indptr.take(cols)
+        counts = indptr.take(cols + 1) - starts if counts is None else counts
         ends = np.cumsum(counts)
-        pos = np.repeat(indptr[cols] - ends + counts, counts) + np.arange(ends[-1])
+        pos = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
         cand = np.repeat(keys - cols, counts) + indices[pos]
         cand = cand[flat.take(cand) < 0]
     tag = np.arange(-2, -2 - cand.size, -1, dtype=np.int32)
@@ -183,34 +198,20 @@ def _unpack(words, s):
     return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
 
 
-# masks of the SWAR popcount: bit pairs, nibbles, bytes, and the byte-summing multiplier
-_POP_MASKS = tuple(np.uint64(m) for m in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101
-))
-
-
-def _column_counts(words):
-    """Set bits per column of (W, n) uint64 words, by the SWAR popcount of each word."""
-    m1, m2, m4, h = _POP_MASKS
-    x = words - ((words >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h) >> np.uint64(56)).sum(axis=0, dtype=np.int64)
-
-
-def _bit_step(rows, level, front, unseen, live, in_indices, heads, bounds, cuts):
+def _bit_step(rows, level, front, unseen, in_indices, heads, bounds, cuts):
     """Write `level` into the block cells one arc beyond the frontier words; return the new words.
 
     front and unseen are (W, n) uint64 words, 64 sources to a word: the
     block's frontier and the cells it has not reached. Only heads, vertices
     with an in-arc, can pull, since `reduceat` would return a word for an
     empty in-CSR segment; `cuts` splits them into chunks whose in-arcs add
-    up to about `_GATHER_WORDS` // W. live flags the heads that some source
-    has not reached, and only those pull: each ORs the frontier words of its
-    in-CSR segment and keeps the bits still unseen. A partly live chunk
-    picks the segments of its live heads by repeating the flags over them.
-    unseen and live are updated in place.
+    up to about `_GATHER_WORDS` // W. Only the live heads, those that some
+    source has not reached, pull: each ORs the frontier words of its in-CSR
+    segment and keeps the bits still unseen. A partly live chunk picks the
+    segments of its live heads by repeating the flags over them. unseen is
+    updated in place.
     """
+    live = unseen.take(heads, axis=1).any(axis=0)
     nxt = np.zeros_like(front)
     for a, b in zip(cuts, cuts[1:]):
         sel = live[a:b]
@@ -225,7 +226,6 @@ def _bit_step(rows, level, front, unseen, live, in_indices, heads, bounds, cuts)
         nxt[:, cols] = np.bitwise_or.reduceat(front.take(idx, axis=1), starts, axis=1)
     nxt &= unseen
     unseen ^= nxt
-    live &= unseen.take(heads, axis=1).any(axis=0)
     # The new cells hold -1, so adding level + 1 there writes the level. In the
     # narrowest type that holds it, this took 0.24 ms on a half-full 419×1600
     # block, where `rows[mask] = level` took 3.7 ms (one core, shared 2-vCPU VM).
@@ -247,7 +247,7 @@ def all_pairs_directed_dist(
     adj = None
     width = int(deg.max())
     padded = n * width <= _PAD_RATIO * indices.size
-    offsets = counts = plan = None
+    offsets = plan = None
     block = max(1, min(_BLOCK_CELLS // n, _BLOCK_CELLS * _DENSE_COST // (n * n)))
     for s0 in range(0, n, block):
         rows = dist[s0:s0 + block]
@@ -257,7 +257,8 @@ def all_pairs_directed_dist(
         keys = np.repeat(np.arange(0, s * n, n), deg[s0:s0 + s]) + indices[indptr[s0]:indptr[s0 + s]]
         flat[keys] = 1
         flat[np.arange(s0, s0 + s * (n + 1), n + 1)] = 0
-        todo = flat.size - s - keys.size  # no arc is a loop
+        found = keys.size  # the frontier's cells
+        todo = flat.size - s - found  # no arc is a loop
         # the frontier between levels: the keys of its cells, or bit-step words
         front = None
         dense_cells = flat.size * n
@@ -269,14 +270,15 @@ def all_pairs_directed_dist(
             pull = pull_cells < _DENSE_COST  # tiny blocks skip counting arcs
             if not pull:
                 # a sparse step's gathered arcs, padding included
-                if front is not None:
-                    arcs = found * width if padded else front_counts @ deg
-                elif padded:
-                    arcs = keys.size * width
-                else:
+                cols = counts = None  # CSR rows the estimate reads, handed to the sparse step
+                if padded:
+                    arcs = found * width
+                elif front is None:
                     cols = keys % n
                     counts = deg.take(cols)
                     arcs = counts.sum()
+                else:
+                    arcs = np.bitwise_count(front).sum(axis=0, dtype=np.int64) @ deg
                 pull = arcs * _DENSE_COST > pull_cells
             if pull and bit_cells < dense_cells:
                 if plan is None:  # the call's first bit step
@@ -291,17 +293,12 @@ def all_pairs_directed_dist(
                     mask = np.zeros(rows.shape, dtype=bool)
                     mask.reshape(-1)[keys] = True
                     front, unseen, keys = _pack(mask), _pack(np.less(rows, 0, out=mask)), None
-                    live = unseen.take(heads, axis=1).any(axis=0)
                     del mask  # kept to the block's end, it would raise the call's peak
-                front = _bit_step(rows, level, front, unseen, live, in_indices, *plan)
-                front_counts = _column_counts(front)
-                found = front_counts.sum()
+                front = _bit_step(rows, level, front, unseen, in_indices, *plan)
+                found = np.bitwise_count(front).sum(dtype=np.int64)
             else:
                 if front is not None:  # a sparse step after bit steps
                     keys, front = np.flatnonzero(_unpack(front, s)), None
-                    if not padded:
-                        cols = keys % n
-                        counts = deg.take(cols)
                 if pull:
                     if adj is None:  # the call's first dense step
                         adj = np.zeros((n, n), dtype=np.float32)
@@ -310,10 +307,8 @@ def all_pairs_directed_dist(
                 elif not arcs:
                     break
                 else:
-                    if padded:
-                        cols = keys % n
-                        if offsets is None:  # the call's first sparse step
-                            offsets = _out_offsets(indices, deg, width)
+                    if padded and offsets is None:  # the call's first sparse step
+                        offsets = _out_offsets(indices, deg, width)
                     keys = _sparse_step(flat, keys, cols, counts, indptr, indices, offsets)
                 found = keys.size
                 flat[keys] = level

@@ -106,11 +106,19 @@ def parse_edge_list(text: str) -> EdgeListDocument:
         raise type(exc)(f"line {arc_lines[exc.index]}: {exc}", exc.index) from None
     # An unnamed vertex shows as its id, so no label may spell the id of one.
     for label, (v, lineno) in named.items():
-        if label.isascii() and label.isdigit() and len(label) <= len(str(n)):
-            u = int(label)
-            if str(u) == label and u < n and u not in labels:
-                raise ParseError(lineno, f"label {label!r} of vertex {v} is the id of vertex {u}")
+        u = _unnamed_id(label, n, labels)
+        if u is not None:
+            raise ParseError(lineno, f"label {label!r} of vertex {v} is the id of vertex {u}")
     return EdgeListDocument(digraph=digraph, labels=labels)
+
+
+def _unnamed_id(label: str, n: int, labels: dict[int, str]) -> int | None:
+    """The id of the vertex without a label that label spells, or None."""
+    if label.isascii() and label.isdigit() and len(label) <= len(str(n)):
+        u = int(label)
+        if str(u) == label and u < n and u not in labels:
+            return u
+    return None
 
 
 def serialize_edge_list(
@@ -118,10 +126,33 @@ def serialize_edge_list(
     labels: dict[int, str] | None = None,
     comments: tuple[str, ...] = (),
 ) -> str:
-    """Deterministic edge-list text: comments, header, sorted names, sorted arcs."""
+    """Deterministic edge-list text: comments, header, sorted names, sorted arcs.
+
+    Text that `parse_edge_list` would refuse or misread raises ValueError
+    before anything is written: a comment holding a line break, a label on an
+    id outside 0..n-1, or a label that is empty, holds whitespace or '#',
+    repeats another label, or spells the id of a vertex without a label.
+    """
+    labels = labels or {}
+    for c in comments:
+        if "\n" in c:
+            raise ValueError(f"comment {c!r} holds a line break")
+    seen: dict[str, int] = {}
+    for v in sorted(labels):
+        label = labels[v]
+        if not 0 <= v < d.n:
+            raise ValueError(f"label {label!r} is on vertex {v}, not in 0..{d.n - 1}")
+        if label.split() != [label] or "#" in label:
+            raise ValueError(f"label {label!r} of vertex {v} is empty or holds whitespace or '#'")
+        if label in seen:
+            raise ValueError(f"label {label!r} of vertex {v} already names vertex {seen[label]}")
+        seen[label] = v
+        u = _unnamed_id(label, d.n, labels)
+        if u is not None:
+            raise ValueError(f"label {label!r} of vertex {v} is the id of vertex {u}")
     lines = [f"# {c}" for c in comments]
     lines.append(f"n {d.n}")
-    for v in sorted(labels or {}):
+    for v in sorted(labels):
         lines.append(f"name {v} {labels[v]}")
     for a, b in d._arc_array().tolist():  # out-CSR order: ascending (tail, head)
         lines.append(f"{a} {b}")

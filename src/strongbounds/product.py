@@ -40,6 +40,7 @@ from .boundary import (
 )
 from .digraph import Digraph, _from_out_keys, _not_int_type, _require_keyed
 from .errors import NotStrong, SizeOverflow, VertexOutOfRange
+from .generator import _require_int
 from .metric import MetricProfile, metric_profile
 
 DEFAULT_VERTEX_BUDGET = 10_000
@@ -124,7 +125,10 @@ def strong_product(
     i = j and r = s, and exactly those self-pair combinations are dropped,
     so no key is a loop; and (i, j, r, s) -> (x, y) -> x*n + y is injective,
     so keys from distinct pairs of distinct closed arcs are distinct.
+
+    A budget that is not an integer raises InvalidConfig.
     """
+    (budget,) = _require_int(budget=budget)
     n = d1.n * d2.n
     if n > budget:
         raise SizeOverflow(
@@ -166,8 +170,10 @@ def product_metric_profile(f: FactorPair, budget: int = DEFAULT_VERTEX_BUDGET) -
     """Full product profile assembled from factor profiles, no product BFS.
 
     Materializes the (n1·n2)² md table, so it honors the same vertex budget as
-    construction; beyond it use `product_metric_summary`.
+    construction; beyond it use `product_metric_summary`. A budget that is not
+    an integer raises InvalidConfig.
     """
+    (budget,) = _require_int(budget=budget)
     n = f.d1.n * f.d2.n
     if n > budget:
         raise SizeOverflow(

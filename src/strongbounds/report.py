@@ -32,6 +32,7 @@ import numpy as np
 
 from .boundary import SET_NAMES, BoundaryProfile, boundary_profile
 from .errors import InvalidConfig
+from .generator import _require_int
 from .io_formats import EdgeListDocument
 from .metric import metric_profile
 from .product import (
@@ -166,6 +167,7 @@ def analyze_product(
     """
     if mode not in ("formula", "oracle", "both"):
         raise ValueError(f"mode must be formula|oracle|both, got {mode!r}")
+    (budget,) = _require_int(budget=budget)
     if budget < 1:
         raise InvalidConfig(f"budget must be >= 1, got {budget}")
     d1, d2 = doc1.digraph, doc2.digraph

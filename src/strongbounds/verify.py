@@ -239,7 +239,7 @@ def run_verification(
         )
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
-    if not p_values:
+    if len(p_values) == 0:  # an array's truth value is ambiguous
         raise InvalidConfig("p_values must name at least one arc probability")
     for p in p_values:
         _require_probability(p)

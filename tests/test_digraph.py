@@ -69,6 +69,11 @@ class TestFromArcs:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_equality_with_a_non_digraph_is_false(self, d1):
+        # __eq__ returns NotImplemented, so Python falls back to identity
+        assert d1.__eq__(1) is NotImplemented
+        assert (d1 == 1) is False and d1 != 1
+
     # Mixed faults: the first bad arc in input order is reported, and for one
     # arc a range fault outranks a loop, which outranks a repeat.
     @pytest.mark.parametrize(

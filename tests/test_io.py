@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from strongbounds import (
     SET_NAMES,
     BoundaryProfile,
+    InvalidConfig,
     LoopArc,
     ParallelArc,
     ParseError,
@@ -159,6 +160,12 @@ class TestParse:
             parse_edge_list("0 1\n")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  # another\n"], ids=["empty", "comments"])
+    def test_no_header_line_at_all(self, text):
+        with pytest.raises(ParseError, match="missing header line") as exc:
+            parse_edge_list(text)
+        assert exc.value.line == 1
+
     # The arc rules live in from_arcs; the parser prefixes its message with the line.
     def test_vertex_out_of_range_line(self):
         with pytest.raises(VertexOutOfRange) as exc:
@@ -271,6 +278,36 @@ class TestRoundTrip:
         assert text.startswith("# generated:")
         assert parse_edge_list(text).digraph == d1
 
+    # each of these labels would reparse to a ParseError or to another label
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            ({0: "a b"}, "empty or holds whitespace"),
+            ({0: "a\tb"}, "empty or holds whitespace"),
+            ({1: "#x"}, "holds whitespace or '#'"),
+            ({0: ""}, "empty"),
+            ({0: "a", 1: "a"}, "'a' of vertex 1 already names vertex 0"),
+            ({0: "1"}, "'1' of vertex 0 is the id of vertex 1"),
+            ({2: "c"}, "on vertex 2, not in 0..1"),
+        ],
+        ids=["space", "tab", "hash", "empty", "repeated", "unnamed-id", "id-out-of-range"],
+    )
+    def test_unparseable_label_refused(self, labels, match):
+        d = from_arcs(2, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match=match):
+            serialize_edge_list(d, labels=labels)
+
+    def test_labels_spelling_named_ids_kept(self):
+        # a label may spell the id of a vertex that has a label of its own
+        d = from_arcs(2, [(0, 1), (1, 0)])
+        labels = {0: "1", 1: "0"}
+        assert parse_edge_list(serialize_edge_list(d, labels=labels)).labels == labels
+
+    def test_comment_with_line_break_refused(self, d1):
+        # written as is, the comment would inject a header and an arc line
+        with pytest.raises(ValueError, match="line break"):
+            serialize_edge_list(d1, comments=("x\nn 3\n0 2",))
+
 
 class TestDot:
     def test_k1_document(self, k1):
@@ -336,6 +373,22 @@ class TestDot:
 
 
 class TestReports:
+    def test_analyze_product_unknown_mode(self, d1_path, d2_path):
+        docs = [parse_edge_list(p.read_text()) for p in (d1_path, d2_path)]
+        with pytest.raises(ValueError, match=r"^mode must be formula\|oracle\|both, got 'x'$"):
+            analyze_product(*docs, mode="x")
+
+    @pytest.mark.parametrize("budget", [True, 7.5, "9", None, np.float64(20)])
+    def test_analyze_product_non_integer_budget(self, d1_path, d2_path, budget):
+        docs = [parse_edge_list(p.read_text()) for p in (d1_path, d2_path)]
+        with pytest.raises(InvalidConfig, match="budget must be an integer"):
+            analyze_product(*docs, mode="oracle", budget=budget)
+
+    def test_analyze_product_numpy_budget(self, d1_path, d2_path):
+        docs = [parse_edge_list(p.read_text()) for p in (d1_path, d2_path)]
+        report = analyze_product(*docs, mode="oracle", budget=np.int16(15))
+        assert report["product"]["n"] == 15
+
     def test_analyze_digraph_deterministic(self, d2, d2_path):
         doc = parse_edge_list(d2_path.read_text())
         a = _report_text(analyze_digraph(doc, path=str(d2_path)))

@@ -17,8 +17,10 @@ import oracles
 import strongbounds
 from strongbounds import (
     FactorPair,
+    InvalidConfig,
     ProductLabel,
     SizeOverflow,
+    VertexOutOfRange,
     boundary_profile,
     boundary_set,
     contour_set,
@@ -120,6 +122,16 @@ class TestConstruction:
         with pytest.raises(SizeOverflow):
             strong_product(d1, d2, budget=14)
 
+    @pytest.mark.parametrize("budget", [True, 2.5, "9", None, np.float64(20)])
+    def test_non_integer_budget_refused(self, d1, d2, budget):
+        with pytest.raises(InvalidConfig, match="budget must be an integer"):
+            strong_product(d1, d2, budget=budget)
+
+    def test_numpy_integer_budget_accepted(self, d1, d2):
+        assert strong_product(d1, d2, budget=np.int16(15))[0].n == 15
+        with pytest.raises(SizeOverflow, match="budget of 14$"):
+            strong_product(d1, d2, budget=np.uint8(14))
+
     @settings(max_examples=30)
     @given(digraphs(max_n=4), digraphs(max_n=4))
     def test_strong_iff_both_factors_strong(self, a, b):
@@ -203,6 +215,16 @@ class TestProductLabel:
         with pytest.raises(ValueError, match="product vertex must be an integer"):
             label.decode(x)
 
+    @pytest.mark.parametrize("pair", [(3, 0), (-1, 0), (0, 4), (0, -1)])
+    def test_encode_refuses_indices_out_of_range(self, pair):
+        with pytest.raises(VertexOutOfRange):
+            ProductLabel(3, 4).encode(*pair)
+
+    @pytest.mark.parametrize("x", [12, -1])
+    def test_decode_refuses_vertex_out_of_range(self, x):
+        with pytest.raises(VertexOutOfRange, match=f"product vertex {x} not in 0..11"):
+            ProductLabel(3, 4).decode(x)
+
     def test_numpy_indices_give_python_ints(self):
         # in int16, 200 * 300 would wrap to a negative id
         label = ProductLabel(300, 300)
@@ -246,6 +268,11 @@ class TestProductMetric:
     def test_profile_budget_guard(self, example_pair):
         with pytest.raises(SizeOverflow):
             product_metric_profile(example_pair, budget=10)
+
+    @pytest.mark.parametrize("budget", [True, 2.5, "9", None])
+    def test_profile_non_integer_budget_refused(self, example_pair, budget):
+        with pytest.raises(InvalidConfig, match="budget must be an integer"):
+            product_metric_profile(example_pair, budget=budget)
 
     @settings(max_examples=25, deadline=None)
     @given(small_factor_pairs())

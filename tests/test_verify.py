@@ -49,6 +49,16 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             run_verification(trials=1, p_values=())
 
+    def test_p_values_array_tested_by_length(self):
+        # an array of two or more values has no single truth value
+        assert run_verification(2, p_values=np.array([0.2, 0.5])).trials == 2
+        with pytest.raises(InvalidConfig):
+            run_verification(trials=1, p_values=np.array([]))
+
+    def test_n_max_below_2_rejected(self):
+        with pytest.raises(InvalidConfig, match="n_max must be >= 2, got 1"):
+            run_verification(1, n_max=1)
+
     @pytest.fixture
     def draws(self, monkeypatch):
         """The factor sizes ``run_verification`` asks the generator for."""
